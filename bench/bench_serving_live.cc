@@ -409,7 +409,7 @@ main(int argc, char **argv)
         const std::size_t admitted = live.submitted - live.rejected;
         entry.goodput_rps =
             live.busy_s > 0.0
-                ? static_cast<double>(live.completed_in_deadline) /
+                ? static_cast<double>(live.completed) /
                       std::max(arrivals.back(), live.busy_s)
                 : 0.0;
         entry.goodput_frac = live.availability;
@@ -478,8 +478,7 @@ main(int argc, char **argv)
 
         const std::size_t admitted = live.submitted - live.rejected;
         const double goodput_rps =
-            static_cast<double>(live.completed_in_deadline) /
-            std::max(span_s, 1e-9);
+            static_cast<double>(live.completed) / std::max(span_s, 1e-9);
         TablePrinter closed({"Clients", "Requests", "Goodput (rps)",
                              "Goodput frac", "p50 (ms)", "p99 (ms)",
                              "Mean batch", "p50 model err"});

@@ -74,7 +74,7 @@ DYNAMIC_PRODUCERS = [
 # A published name under one of these prefixes is part of a schema-
 # gated family: check_metrics.py makes promises about it, so it must
 # appear in the dumped schema. Names outside (bench-local kernels.*,
-# internal dpu.*, ...) may stay schema-free.
+# internal lut.*, ...) may stay schema-free.
 SCHEMA_GATED_PREFIXES = [
     "analysis.",
     "backend.",

@@ -61,18 +61,9 @@ TransactionSimConfig::validate() const
     if (arbitration_quantum_s <= 0.0)
         throw std::runtime_error(
             "TransactionSimConfig.arbitration_quantum_s must be > 0");
-    if (mode_switch_s < 0.0)
-        throw std::runtime_error(
-            "TransactionSimConfig.mode_switch_s must be >= 0");
     if (refresh_interval_s <= 0.0)
         throw std::runtime_error(
             "TransactionSimConfig.refresh_interval_s must be > 0");
-    if (refresh_latency_s < 0.0)
-        throw std::runtime_error(
-            "TransactionSimConfig.refresh_latency_s must be >= 0");
-    if (cmd_issue_overhead_s < 0.0)
-        throw std::runtime_error(
-            "TransactionSimConfig.cmd_issue_overhead_s must be >= 0");
     if (max_sim_banks == 0)
         throw std::runtime_error(
             "TransactionSimConfig.max_sim_banks must be >= 1");

@@ -74,14 +74,8 @@ struct TransactionSimConfig
     double host_traffic_intensity = 0.0;
     /** Arbitration granting period, seconds. */
     double arbitration_quantum_s = 20e-6;
-    /** One PIM-mode <-> memory-mode switch, seconds. */
-    double mode_switch_s = 0.5e-6;
     /** Refresh command period per bank (tREFI), seconds. */
     double refresh_interval_s = 7.8e-6;
-    /** Bank-unavailable window per refresh (tRFC), seconds. */
-    double refresh_latency_s = 350e-9;
-    /** Decode/issue overhead per bank command, seconds. */
-    double cmd_issue_overhead_s = 20e-9;
     /**
      * Representative bank queues simulated per node. PEs run in
      * lock-step on identical tile shapes (cost_model.h), so a few

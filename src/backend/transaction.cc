@@ -16,6 +16,13 @@ namespace {
 
 constexpr std::size_t kNumCommandKinds = 11;
 
+/** One PIM-mode <-> memory-mode switch, seconds. */
+constexpr double kModeSwitchS = 0.5e-6;
+/** Bank-unavailable window per refresh (tRFC), seconds. */
+constexpr double kRefreshLatencyS = 350e-9;
+/** Decode/issue overhead per bank command, seconds. */
+constexpr double kCmdIssueOverheadS = 20e-9;
+
 std::size_t
 kindIndex(TxnCommandKind kind)
 {
@@ -139,7 +146,7 @@ class TxnSim
         double clock = 0.0;
         for (std::size_t phase = 0; phase <= max_phase_; ++phase) {
             if (phase < switch_phases_.size() && switch_phases_[phase]) {
-                clock += config_.mode_switch_s;
+                clock += kModeSwitchS;
                 ++report_.mode_switches;
             }
             double phase_end = clock;
@@ -147,8 +154,7 @@ class TxnSim
             }
             clock = phase_end;
         }
-        clock += static_cast<double>(trailing_switches_) *
-                 config_.mode_switch_s;
+        clock += static_cast<double>(trailing_switches_) * kModeSwitchS;
         report_.mode_switches += trailing_switches_;
         report_.seconds = clock;
         return std::move(report_);
@@ -213,7 +219,7 @@ class TxnSim
      */
     double bankDuration(TxnQueue &queue, double busy_s)
     {
-        double busy = busy_s + config_.cmd_issue_overhead_s;
+        double busy = busy_s + kCmdIssueOverheadS;
 
         const double refi = config_.refresh_interval_s;
         const double before = std::floor(queue.busy_accum / refi);
@@ -221,8 +227,7 @@ class TxnSim
         const auto refreshes = static_cast<std::size_t>(
             std::floor(queue.busy_accum / refi) - before);
         double duration =
-            busy + static_cast<double>(refreshes) *
-                       config_.refresh_latency_s;
+            busy + static_cast<double>(refreshes) * kRefreshLatencyS;
         report_.refreshes += refreshes;
 
         const double intensity = config_.host_traffic_intensity;
@@ -236,8 +241,7 @@ class TxnSim
                 std::floor(queue.arb_accum / pim_share) - windows_before);
             if (windows > 0) {
                 duration += static_cast<double>(windows) *
-                            (intensity * quantum +
-                             2.0 * config_.mode_switch_s);
+                            (intensity * quantum + 2.0 * kModeSwitchS);
                 report_.bank_conflicts += windows;
                 report_.mode_switches += 2 * windows;
             }

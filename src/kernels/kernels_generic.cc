@@ -5,10 +5,12 @@
  * so the compiler lowers the 8-lane vectors to whatever the build
  * baseline provides (paired SSE on stock x86-64, NEON on AArch64).
  *
- * Only the kernels whose lanes are independent output elements are
- * vectorized here (LUT gather-accumulate and axpy, where per-element
- * accumulation order is preserved by construction); the CCS argmin
- * reduction delegates to the scalar reference. This TU is built with
+ * Only the FP32 kernels whose lanes are independent output elements
+ * are vectorized here (LUT gather-accumulate and axpy, where
+ * per-element accumulation order is preserved by construction). The
+ * CCS argmin reduction and the INT8 LUT accumulate delegate to the
+ * scalar reference: vectorized through the build baseline they
+ * measured no faster than scalar. This TU is built with
  * -ffp-contract=off so the a*x+y in axpy can never fuse into an FMA
  * on targets whose baseline has one — fusion would change rounding
  * and break the bit-exactness contract.
@@ -25,7 +27,6 @@ namespace detail {
 namespace {
 
 typedef float V8f __attribute__((vector_size(32)));
-typedef std::int32_t V8i __attribute__((vector_size(32)));
 
 V8f
 loadF32(const float *p)
@@ -39,30 +40,6 @@ void
 storeF32(float *p, V8f v)
 {
     std::memcpy(p, &v, sizeof(v));
-}
-
-V8i
-loadI32(const std::int32_t *p)
-{
-    V8i v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-void
-storeI32(std::int32_t *p, V8i v)
-{
-    std::memcpy(p, &v, sizeof(v));
-}
-
-/** Sign-extends 8 consecutive INT8 LUT entries to 32-bit lanes. */
-V8i
-widenI8(const std::int8_t *p)
-{
-    typedef std::int8_t V8b __attribute__((vector_size(8)));
-    V8b narrow;
-    std::memcpy(&narrow, p, sizeof(narrow));
-    return __builtin_convertvector(narrow, V8i);
 }
 
 void
@@ -81,25 +58,6 @@ genericLutAccumF32(const std::uint16_t *idx_row, std::size_t cb_count,
             storeF32(dst + j, loadF32(dst + j) + loadF32(src + j));
         for (std::size_t j = vec_end; j < f_count; ++j)
             dst[j] += src[j];
-    }
-}
-
-void
-genericLutAccumI8(const std::uint16_t *idx_row, std::size_t cb_count,
-                  std::size_t ct_count, const std::int8_t *lut,
-                  std::size_t f_dim, std::size_t col0, std::size_t f_count,
-                  std::int32_t *acc)
-{
-    const std::size_t vec_end = f_count - f_count % 8;
-    for (std::size_t j = 0; j < f_count; ++j)
-        acc[j] = 0;
-    for (std::size_t cb = 0; cb < cb_count; ++cb) {
-        const std::int8_t *src =
-            lut + (cb * ct_count + idx_row[cb]) * f_dim + col0;
-        for (std::size_t j = 0; j < vec_end; j += 8)
-            storeI32(acc + j, loadI32(acc + j) + widenI8(src + j));
-        for (std::size_t j = vec_end; j < f_count; ++j)
-            acc[j] += src[j];
     }
 }
 
@@ -124,7 +82,7 @@ genericTable()
         1,
         scalarCcsArgmin,
         genericLutAccumF32,
-        genericLutAccumI8,
+        scalarLutAccumI8,
         genericAxpyF32,
     };
     return table;

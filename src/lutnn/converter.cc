@@ -2,23 +2,6 @@
 
 namespace pimdl {
 
-Tensor
-subsampleRows(const Tensor &t, std::size_t rows)
-{
-    if (rows == 0 || t.rows() <= rows)
-        return t;
-    Tensor out(rows, t.cols());
-    const double stride = static_cast<double>(t.rows()) / rows;
-    for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t src = static_cast<std::size_t>(r * stride);
-        const float *s = t.rowPtr(src);
-        float *d = out.rowPtr(r);
-        for (std::size_t c = 0; c < t.cols(); ++c)
-            d[c] = s[c];
-    }
-    return out;
-}
-
 LutLayer
 convertLinearLayer(const Tensor &weight, const std::vector<float> &bias,
                    const Tensor &calibration, const ConvertOptions &options)
@@ -26,11 +9,8 @@ convertLinearLayer(const Tensor &weight, const std::vector<float> &bias,
     PIMDL_REQUIRE(calibration.cols() == weight.rows(),
                   "calibration width must match weight input dim");
 
-    const Tensor sampled =
-        subsampleRows(calibration, options.max_calibration_rows);
-
     CodebookSet codebooks = CodebookSet::learn(
-        sampled, options.subvec_len, options.centroids, options.kmeans);
+        calibration, options.subvec_len, options.centroids, options.kmeans);
 
     LutLayer layer = LutLayer::convert(weight, std::move(codebooks), bias);
     if (options.quantize_int8)

@@ -23,12 +23,6 @@ struct ConvertOptions
     KMeansOptions kmeans;
     /** Quantize the resulting LUT to INT8 (the UPMEM deployment mode). */
     bool quantize_int8 = false;
-    /**
-     * Cap on calibration rows actually clustered; rows beyond the cap are
-     * subsampled deterministically. Models the paper's <1% calibration
-     * sampling. Zero means use everything.
-     */
-    std::size_t max_calibration_rows = 0;
 };
 
 /**
@@ -43,12 +37,6 @@ LutLayer convertLinearLayer(const Tensor &weight,
                             const std::vector<float> &bias,
                             const Tensor &calibration,
                             const ConvertOptions &options);
-
-/**
- * Deterministically subsamples @p rows rows from @p t (stride sampling);
- * returns @p t unchanged when rows == 0 or t is already small enough.
- */
-Tensor subsampleRows(const Tensor &t, std::size_t rows);
 
 } // namespace pimdl
 

@@ -11,6 +11,9 @@ namespace pimdl {
 
 namespace {
 
+/** Samples used to seed codebooks (k-means or std estimation). */
+constexpr std::size_t kCodebookInitSamples = 64;
+
 /** One optimization epoch over [0, limit) samples in fixed batches. */
 float
 runEpoch(TransformerClassifier &model, const SequenceDataset &train,
@@ -41,11 +44,10 @@ calibrate(TransformerClassifier &model, const SyntheticTask &task,
 
     if (options.init == CodebookInit::KMeans) {
         initCodebooksFromActivations(model, task.train,
-                                     options.codebook_init_samples,
-                                     options.seed);
+                                     kCodebookInitSamples, options.seed);
     } else {
-        initCodebooksRandom(model, task.train,
-                            options.codebook_init_samples, options.seed);
+        initCodebooksRandom(model, task.train, kCodebookInitSamples,
+                            options.seed);
     }
     report.accuracy_before = model.evaluate(task.test, LinearMode::HardLut);
 
@@ -56,11 +58,11 @@ calibrate(TransformerClassifier &model, const SyntheticTask &task,
             static_cast<float>(task.train.size())));
     report.samples_used = std::min(limit, task.train.size());
 
+    // Centroids train together with the weights and biases (the
+    // paper's "minor parameter updates").
     std::vector<ag::Variable> params = model.centroidParams();
-    if (options.update_weights) {
-        for (auto &p : model.modelParams())
-            params.push_back(p);
-    }
+    for (auto &p : model.modelParams())
+        params.push_back(p);
     ag::Adam optimizer(std::move(params), options.lr);
 
     for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {

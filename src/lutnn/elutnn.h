@@ -57,10 +57,6 @@ struct CalibrationOptions
      * eLUT-NN uses < 1%; the baseline uses 1.0 (the full set).
      */
     float data_fraction = 0.05f;
-    /** Also fine-tune weights/biases ("minor parameter updates"). */
-    bool update_weights = true;
-    /** Samples used to seed codebooks (k-means or std estimation). */
-    std::size_t codebook_init_samples = 64;
     /** Codebook seeding strategy. */
     CodebookInit init = CodebookInit::Random;
     std::uint64_t seed = 13;

@@ -7,6 +7,9 @@ namespace pimdl {
 
 namespace {
 
+/** Convergence threshold on total centroid movement. */
+constexpr float kTolerance = 1e-6f;
+
 double
 squaredDistance(const float *a, const float *b, std::size_t dim)
 {
@@ -151,7 +154,7 @@ kmeans(const Tensor &samples, const KMeansOptions &options)
                 result.centroids(c, d) = updated;
             }
         }
-        if (movement < options.tolerance)
+        if (movement < kTolerance)
             break;
     }
     return result;

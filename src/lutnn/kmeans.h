@@ -24,8 +24,6 @@ struct KMeansOptions
     std::size_t clusters = 16;
     /** Maximum Lloyd iterations. */
     std::size_t max_iters = 25;
-    /** Convergence threshold on total centroid movement. */
-    float tolerance = 1e-6f;
     /** Seed for k-means++ initialization. */
     std::uint64_t seed = 1;
 };

@@ -9,6 +9,9 @@ using ag::Variable;
 
 namespace {
 
+/** Temperature for SoftLut assignment. */
+constexpr float kSoftTemperature = 1.0f;
+
 /** Argmax over the single row of a 1 x C logits tensor. */
 std::size_t
 argmaxRowsScalar(const Tensor &logits)
@@ -130,7 +133,7 @@ TransformerClassifier::applyLinear(ReplaceableLinear &layer, Variable x,
         xa = ag::centroidAssign(x, layer.centroids, cb, ct, v);
     } else {
         xa = ag::softAssign(x, layer.centroids, cb, ct, v,
-                            config_.soft_temperature);
+                            kSoftTemperature);
     }
 
     Variable approx = ag::matmul(xa, layer.weight);

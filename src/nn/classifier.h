@@ -44,8 +44,6 @@ struct ClassifierConfig
     std::size_t subvec_len = 2;
     /** LUT-NN centroids per codebook CT. */
     std::size_t centroids = 8;
-    /** Temperature for SoftLut assignment. */
-    float soft_temperature = 1.0f;
     std::uint64_t seed = 7;
 };
 

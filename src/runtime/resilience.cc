@@ -45,8 +45,6 @@ OverloadConfig::validate() const
     if (aimd_max_inflight != 0 && aimd_max_inflight < aimd_min_inflight)
         throw std::runtime_error("OverloadConfig.aimd_max_inflight must be "
                                  "0 or >= aimd_min_inflight");
-    if (aimd_increase <= 0.0)
-        throw std::runtime_error("OverloadConfig.aimd_increase must be > 0");
     if (aimd_decrease <= 0.0 || aimd_decrease >= 1.0)
         throw std::runtime_error(
             "OverloadConfig.aimd_decrease must be in (0, 1)");

@@ -80,8 +80,6 @@ struct OverloadConfig
     std::size_t aimd_min_inflight = 4;
     /** Upper bound; 0 derives the pipeline capacity at construction. */
     std::size_t aimd_max_inflight = 0;
-    /** Additive increase per successfully served batch. */
-    double aimd_increase = 1.0;
     /** Multiplicative decrease on batch failure/hang/timeout. */
     double aimd_decrease = 0.5;
 

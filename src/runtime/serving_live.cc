@@ -25,6 +25,10 @@ constexpr double kVirtualPollSliceS = 200e-6;
 /** EWMA weight of the newest served batch latency. */
 constexpr double kServiceEwmaAlpha = 0.2;
 
+/** AIMD additive increase of the in-flight limit per cleanly served
+ * batch. */
+constexpr double kAimdIncrease = 1.0;
+
 std::size_t
 pow2Bucket(std::size_t batch, std::size_t max_batch)
 {
@@ -368,44 +372,6 @@ LiveServingRuntime::dispatch(BatchTask &&task)
     if (task.requests.empty())
         return;
     task.id = next_batch_id_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.input_stager != nullptr) {
-        // Stage the stacked batch input on the transfer thread: while
-        // the workers execute earlier batches, this batch's rows are
-        // already being assembled into a staging buffer — the
-        // double-buffered overlap, at batch granularity. The fill
-        // reads the pending requests' tensors through raw pointers;
-        // PendingRequest objects are heap-pinned and outlive the
-        // staged handle (see StagedInput's ordering contract).
-        const std::size_t batch = task.requests.size();
-        const std::size_t seq = task.requests.front()->input.rows();
-        const std::size_t hidden = task.requests.front()->input.cols();
-        const std::size_t shape_batch =
-            config_.pow2_buckets ? pow2Bucket(batch, config_.max_batch)
-                                 : batch;
-        std::vector<const Tensor *> inputs;
-        inputs.reserve(batch);
-        for (const auto &req : task.requests)
-            inputs.push_back(&req->input);
-        auto staged = std::make_shared<StagedInput>();
-        staged->channel =
-            config_.input_stager->openChannel("serving.live.stage");
-        transfer::StageRequest sreq;
-        sreq.bytes = shape_batch * seq * hidden * sizeof(float);
-        sreq.fill = [inputs = std::move(inputs), seq,
-                     hidden](std::uint8_t *dst, std::size_t bytes) {
-            const std::size_t row_bytes = seq * hidden * sizeof(float);
-            std::size_t off = 0;
-            for (const Tensor *in : inputs) {
-                std::memcpy(dst + off, in->rowPtr(0), row_bytes);
-                off += row_bytes;
-            }
-            // Padding rows of the pow2 bucket stay zero.
-            if (off < bytes)
-                std::memset(dst + off, 0, bytes - off);
-        };
-        staged->ticket = staged->channel->stage(std::move(sreq));
-        task.staged = std::move(staged);
-    }
     m_.batch_queue_depth->record(
         static_cast<double>(work_queue_.size()));
     // Blocking push: a full work queue is the backpressure that keeps
@@ -492,27 +458,13 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
         config_.pow2_buckets ? pow2Bucket(batch, config_.max_batch)
                              : batch;
 
-    // Batch input: consume the staged copy when the batcher routed it
-    // through the transfer engine (its fill overlapped earlier
-    // batches' execution), else stack request rows inline. Both paths
-    // produce identical bytes; padding rows (shape bucketing) stay
-    // zero either way.
+    // Batch input: stack request rows; padding rows (shape bucketing)
+    // stay zero.
     Tensor tokens(shape_batch * seq, hidden);
-    if (task.staged != nullptr) {
-        const std::vector<std::uint8_t> &buf =
-            task.staged->channel->wait(task.staged->ticket);
-        PIMDL_REQUIRE(buf.size() ==
-                          shape_batch * seq * hidden * sizeof(float),
-                      "staged batch input has the wrong size");
-        std::memcpy(tokens.rowPtr(0), buf.data(), buf.size());
-        task.staged->channel->release(task.staged->ticket);
-        task.staged.reset();
-    } else {
-        for (std::size_t i = 0; i < batch; ++i) {
-            const Tensor &in = task.requests[i]->input;
-            std::memcpy(tokens.rowPtr(i * seq), in.rowPtr(0),
-                        seq * hidden * sizeof(float));
-        }
+    for (std::size_t i = 0; i < batch; ++i) {
+        const Tensor &in = task.requests[i]->input;
+        std::memcpy(tokens.rowPtr(i * seq), in.rowPtr(0),
+                    seq * hidden * sizeof(float));
     }
 
     // Publish the batch to the heartbeat registry: from here until
@@ -685,7 +637,6 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
     }
 
     std::size_t completed = 0;
-    std::size_t in_deadline = 0;
     std::size_t timed_out = 0;
     std::vector<double> batch_latencies;
     std::vector<double> batch_waits;
@@ -710,11 +661,10 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
                               done > req->deadline_abs_s;
             result.status = late ? LiveRequestStatus::TimedOut
                                  : LiveRequestStatus::Completed;
-            ++completed;
             if (late)
                 ++timed_out;
             else
-                ++in_deadline;
+                ++completed;
             batch_latencies.push_back(result.latency_s);
             batch_waits.push_back(result.queue_wait_s);
             m_.request_latency_s->record(result.latency_s);
@@ -753,7 +703,6 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
 
     MutexLock lock(stats_mu_);
     acc_.completed += completed;
-    acc_.completed_in_deadline += in_deadline;
     acc_.timed_out += timed_out;
     if (!served)
         acc_.failed_requests += batch;
@@ -793,8 +742,7 @@ LiveServingRuntime::aimdIncreaseLocked()
     if (!config_.resilience.overload.aimd)
         return;
     const double next = std::min(
-        inflight_limit_.load(std::memory_order_relaxed) +
-            config_.resilience.overload.aimd_increase,
+        inflight_limit_.load(std::memory_order_relaxed) + kAimdIncrease,
         inflight_cap_);
     inflight_limit_.store(next, std::memory_order_relaxed);
     m_.inflight_limit->set(next);
@@ -981,7 +929,7 @@ LiveServingRuntime::statsLocked() const
     const std::size_t admitted = stats.submitted - stats.rejected;
     if (admitted > 0)
         stats.availability =
-            static_cast<double>(stats.completed_in_deadline) /
+            static_cast<double>(stats.completed) /
             static_cast<double>(admitted);
     return stats;
 }

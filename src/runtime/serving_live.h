@@ -161,16 +161,6 @@ struct LiveServingConfig
     /** Control-plane resilience: watchdog, breaker, overload,
      * poison bisection. */
     ResilienceConfig resilience;
-    /**
-     * Optional transfer engine for batch-input staging. When set, the
-     * batcher stages each dispatched batch's stacked token rows into a
-     * double-buffered channel on the transfer thread, so batch k+1's
-     * input assembly overlaps batch k's execution in the workers
-     * (continuous batching extended down to the host->PIM copy).
-     * Must outlive the runtime. nullptr = stack inputs inline in the
-     * worker (the previous behaviour).
-     */
-    transfer::TransferScheduler *input_stager = nullptr;
 
     /** Throws std::runtime_error with a field-naming message. */
     void validate() const;
@@ -187,12 +177,9 @@ struct LiveServingStats
     /** Rejections due specifically to the AIMD in-flight limit
      * (subset of rejected). */
     std::size_t overload_rejected = 0;
-    /** Requests served (deadline met or no deadline). */
+    /** Requests served within the deadline (or with no deadline). */
     std::size_t completed = 0;
-    /** Completed requests that met the deadline (== completed when no
-     * deadline is configured). */
-    std::size_t completed_in_deadline = 0;
-    /** Requests served past the deadline. */
+    /** Requests served past the deadline (disjoint from completed). */
     std::size_t timed_out = 0;
     /** Requests dropped pre-execution (admission or dispatch). */
     std::size_t shed = 0;
@@ -231,7 +218,7 @@ struct LiveServingStats
     /** Current AIMD in-flight limit (the static pipeline capacity
      * when AIMD is off). */
     double inflight_limit = 0.0;
-    /** completed_in_deadline / admitted (submitted - rejected). */
+    /** completed / admitted (submitted - rejected). */
     double availability = 1.0;
 };
 
@@ -327,19 +314,6 @@ class LiveServingRuntime
         ~PendingRequest();
     };
 
-    /**
-     * One staged batch input in flight on the transfer engine. The
-     * fill reads the pending requests' input tensors, so the handle
-     * must be destroyed before those requests are: BatchTask declares
-     * it after `requests` (members destroy in reverse order), and the
-     * channel destructor waits out an in-flight fill.
-     */
-    struct StagedInput
-    {
-        std::unique_ptr<transfer::StagingChannel> channel;
-        std::size_t ticket = 0;
-    };
-
     struct BatchTask
     {
         std::uint64_t id = 0;
@@ -349,9 +323,6 @@ class LiveServingRuntime
         /** True for sub-batches produced by poison bisection. */
         bool bisected = false;
         std::vector<std::unique_ptr<PendingRequest>> requests;
-        /** Non-null while a staged input awaits consumption; must
-         * stay declared after `requests` (see StagedInput). */
-        std::shared_ptr<StagedInput> staged;
     };
 
     /**

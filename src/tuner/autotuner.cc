@@ -10,6 +10,12 @@ namespace pimdl {
 
 namespace {
 
+/**
+ * Cap on the number of tile-factor candidates per dimension; large
+ * lists are thinned (endpoints kept) to bound Algorithm 1's walk.
+ */
+constexpr std::size_t kMaxTileCandidates = 8;
+
 bool
 isPowerOfTwo(std::size_t v)
 {
@@ -56,20 +62,19 @@ AutoTuner::tileCandidates(std::size_t total) const
     for (std::size_t d = 1; d <= total; ++d) {
         if (total % d != 0)
             continue;
-        if (options_.power_of_two_tiles && !isPowerOfTwo(d) && d != total)
+        if (!isPowerOfTwo(d) && d != total)
             continue;
         candidates.push_back(d);
     }
 
     // Thin oversized candidate lists (keeping the endpoints) so the
     // exhaustive Algorithm-1 walk stays tractable on big workloads.
-    const std::size_t cap = options_.max_tile_candidates;
-    if (cap >= 2 && candidates.size() > cap) {
+    if (candidates.size() > kMaxTileCandidates) {
         std::vector<std::size_t> thinned;
-        thinned.reserve(cap);
+        thinned.reserve(kMaxTileCandidates);
         const double stride = static_cast<double>(candidates.size() - 1) /
-                              static_cast<double>(cap - 1);
-        for (std::size_t i = 0; i < cap; ++i) {
+                              static_cast<double>(kMaxTileCandidates - 1);
+        for (std::size_t i = 0; i < kMaxTileCandidates; ++i) {
             const std::size_t idx =
                 static_cast<std::size_t>(i * stride + 0.5);
             if (thinned.empty() || thinned.back() != candidates[idx])

@@ -28,18 +28,11 @@ struct AutoTuneResult
 /** Options bounding the tuner's search. */
 struct AutoTuneOptions
 {
-    /** Restrict tile factor candidates to powers of two. */
-    bool power_of_two_tiles = true;
     /** Require the mapping to occupy every platform PE (Eq. 5). */
     bool require_full_pe_use = false;
     /** Restrict the search to one load scheme (for ablations). */
     bool fix_scheme = false;
     LutLoadScheme scheme = LutLoadScheme::CoarseGrain;
-    /**
-     * Cap on the number of tile-factor candidates per dimension; large
-     * lists are thinned (endpoints kept) to bound Algorithm 1's walk.
-     */
-    std::size_t max_tile_candidates = 8;
 };
 
 /** Offline mapping search for LUT operators on a DRAM-PIM platform. */

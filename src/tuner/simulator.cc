@@ -7,6 +7,14 @@ namespace pimdl {
 
 namespace {
 
+/**
+ * Tasklet pipeline fill/drain per processed row: the DPU's 11-stage
+ * pipeline only sustains 1 instr/cycle mid-row, so small nm tiles lose
+ * a few cycles per row. The closed-form model ignores this, which is
+ * the main source of its error against the simulator.
+ */
+constexpr double kPipelineFillRows = 0.4;
+
 struct LoopDims
 {
     std::size_t tn, tf, tc;
@@ -170,7 +178,7 @@ simulateLutMapping(const PimPlatformConfig &platform,
                 // Reduce work of this iteration, derated by the per-row
                 // pipeline fill the closed-form model abstracts away.
                 const double fill_penalty =
-                    1.0 + options.pipeline_fill_rows /
+                    1.0 + kPipelineFillRows /
                               static_cast<double>(mapping.nm_tile);
                 const double adds = static_cast<double>(mapping.nm_tile) *
                                     mapping.fm_tile * mapping.cbm_tile;

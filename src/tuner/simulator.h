@@ -39,13 +39,6 @@ struct SimulatorOptions
     double dma_setup_s = 0.15e-6;
     /** Fixed cost of the tile-loop bookkeeping per iteration, seconds. */
     double loop_overhead_s = 0.02e-6;
-    /**
-     * Tasklet pipeline fill/drain per processed row: the DPU's 11-stage
-     * pipeline only sustains 1 instr/cycle mid-row, so small nm tiles
-     * lose a few cycles per row. The closed-form model ignores this,
-     * which is the main source of its error against the simulator.
-     */
-    double pipeline_fill_rows = 0.4;
 };
 
 /**

@@ -1,18 +1,14 @@
-/** @file Tests for common utilities: logging, tables, csv, parallel. */
+/** @file Tests for common utilities: logging, tables, parallel. */
 
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "common/csv.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/table.h"
 #include "common/thread_annotations.h"
-#include "common/units.h"
 
 namespace pimdl {
 namespace {
@@ -50,25 +46,6 @@ TEST(Table, RejectsMismatchedRow)
 {
     TablePrinter table({"A", "B"});
     EXPECT_THROW(table.addRow({"only-one"}), std::runtime_error);
-}
-
-TEST(Csv, WritesQuotedCells)
-{
-    const std::string path = "/tmp/pimdl_test_csv.csv";
-    {
-        CsvWriter csv(path, {"a", "b"});
-        csv.addRow({"plain", "has,comma"});
-        csv.addRow({"quote\"inside", "x"});
-    }
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "a,b");
-    std::getline(in, line);
-    EXPECT_EQ(line, "plain,\"has,comma\"");
-    std::getline(in, line);
-    EXPECT_EQ(line, "\"quote\"\"inside\",x");
-    std::remove(path.c_str());
 }
 
 TEST(Parallel, CoversEveryIndexExactlyOnce)
@@ -163,16 +140,6 @@ TEST(ParallelBlocked, PropagatesExceptions)
                                    throw std::runtime_error("boom");
                            }),
         std::runtime_error);
-}
-
-TEST(Units, Literals)
-{
-    EXPECT_DOUBLE_EQ(64_KiB, 65536.0);
-    EXPECT_DOUBLE_EQ(2_GBps, 2e9);
-    EXPECT_DOUBLE_EQ(1.5_TOPS, 1.5e12);
-    EXPECT_DOUBLE_EQ(350_MHz, 350e6);
-    EXPECT_DOUBLE_EQ(toMillis(0.5), 500.0);
-    EXPECT_DOUBLE_EQ(toMicros(0.5), 500000.0);
 }
 
 } // namespace

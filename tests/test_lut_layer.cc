@@ -192,18 +192,6 @@ TEST(LutLayer, RebuildTablesTracksCodebookEdits)
     EXPECT_GT(maxAbsDiff(after, before), 1e-4f);
 }
 
-TEST(Converter, SubsampleRowsDeterministic)
-{
-    Tensor t(10, 1, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
-    Tensor s = subsampleRows(t, 5);
-    EXPECT_EQ(s.rows(), 5u);
-    EXPECT_FLOAT_EQ(s(0, 0), 0.0f);
-    EXPECT_FLOAT_EQ(s(4, 0), 8.0f);
-    // No-op cases.
-    EXPECT_EQ(subsampleRows(t, 0).rows(), 10u);
-    EXPECT_EQ(subsampleRows(t, 20).rows(), 10u);
-}
-
 TEST(Converter, CalibrationWidthChecked)
 {
     Tensor w(8, 4);

@@ -360,10 +360,48 @@ TEST(ServingLive, VirtualServiceTimePastDeadlineTimesOut)
     EXPECT_DOUBLE_EQ(r.service_s, 1.0);
     runtime.drain();
     const LiveServingStats stats = runtime.stats();
-    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.completed, 0u) << "a late request is not completed";
     EXPECT_EQ(stats.timed_out, 1u);
-    EXPECT_EQ(stats.completed_in_deadline, 0u);
     EXPECT_DOUBLE_EQ(stats.availability, 0.0);
+}
+
+TEST(ServingLive, ConservationHoldsWithTimeouts)
+{
+    ManualClock clock;
+    StubExecutor executor(&clock, 1.0); // service takes 1 virtual sec
+    LiveServingConfig cfg;
+    cfg.max_batch = 4;
+    cfg.max_wait_s = 1000.0; // only batch-full can trigger dispatch
+    cfg.deadline_s = 0.5;
+    LiveServingRuntime runtime(cfg, executor, &clock);
+
+    // Budget 0 sheds at admission; the other four form one full batch
+    // at t=0 that finishes at t=1: the two 0.5 s budgets time out, the
+    // two 10 s budgets complete.
+    std::vector<std::future<LiveRequestResult>> futures;
+    for (double budget : {0.0, -1.0, -1.0, 10.0, 10.0}) {
+        auto f = runtime.submit(requestTensor(2, 4, futures.size()), 0,
+                                budget);
+        ASSERT_TRUE(f.has_value());
+        futures.push_back(std::move(*f));
+    }
+    EXPECT_EQ(futures[0].get().status, LiveRequestStatus::Shed);
+    EXPECT_EQ(futures[1].get().status, LiveRequestStatus::TimedOut);
+    EXPECT_EQ(futures[2].get().status, LiveRequestStatus::TimedOut);
+    EXPECT_EQ(futures[3].get().status, LiveRequestStatus::Completed);
+    EXPECT_EQ(futures[4].get().status, LiveRequestStatus::Completed);
+    runtime.drain();
+
+    const LiveServingStats stats = runtime.stats();
+    EXPECT_EQ(stats.completed, 2u);
+    EXPECT_EQ(stats.timed_out, 2u);
+    EXPECT_EQ(stats.shed, 1u);
+    EXPECT_EQ(stats.failed_requests, 0u);
+    EXPECT_EQ(stats.completed + stats.timed_out + stats.shed +
+                  stats.failed_requests,
+              stats.submitted - stats.rejected)
+        << "each admitted request has exactly one terminal outcome";
+    EXPECT_DOUBLE_EQ(stats.availability, 0.4);
 }
 
 TEST(ServingLive, InjectedFaultsExhaustRetryLadder)

@@ -5,8 +5,8 @@
  * resident-LUT LRU placement (including a concurrent stress), the
  * double-buffered staging scheduler (bit-exactness vs the synchronous
  * baseline, per-burst fault draws), ManualClock-deterministic overlap
- * accounting through the distributed executor, the staged serving
- * input path, and the transaction backend's burst command stream.
+ * accounting through the distributed executor, and the transaction
+ * backend's burst command stream.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <future>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -27,7 +26,6 @@
 #include "nn/model_config.h"
 #include "plan/lowering.h"
 #include "runtime/lut_executor.h"
-#include "runtime/serving_live.h"
 #include "transfer/layout.h"
 #include "transfer/resident.h"
 #include "transfer/scheduler.h"
@@ -622,61 +620,6 @@ TEST(TransferExecutor, ResidentLutSkipsRestagingOnRepeatedRuns)
     for (std::size_t row = 0; row < plain.output.rows(); ++row)
         for (std::size_t col = 0; col < plain.output.cols(); ++col)
             ASSERT_EQ(warm.output(row, col), plain.output(row, col));
-}
-
-// ---------------------------------------------------------------------
-// Serving integration: staged batch input assembly.
-// ---------------------------------------------------------------------
-
-TEST(TransferServing, StagedInputAssemblyMatchesDirectForward)
-{
-    FunctionalTransformerConfig model_cfg; // 32 hidden, 2 layers
-    FunctionalTransformer model(model_cfg);
-    FunctionalBatchExecutor executor(model, LinearBackendKind::Dense);
-
-    transfer::TransferScheduler stager({});
-    LiveServingConfig cfg;
-    cfg.max_batch = 4;
-    cfg.max_wait_s = 5e-3;
-    cfg.input_stager = &stager;
-
-    constexpr std::size_t kSeq = 4;
-    constexpr std::size_t kRequests = 7; // crosses a batch boundary
-    std::vector<Tensor> inputs;
-    std::vector<std::future<LiveRequestResult>> futures;
-    {
-        LiveServingRuntime runtime(cfg, executor);
-        for (std::size_t i = 0; i < kRequests; ++i) {
-            Tensor t(kSeq, model_cfg.hidden);
-            Rng rng(7 * i + 1);
-            for (std::size_t r = 0; r < kSeq; ++r)
-                for (std::size_t c = 0; c < model_cfg.hidden; ++c)
-                    t(r, c) = rng.uniform() - 0.5f;
-            inputs.push_back(t);
-            auto f = runtime.submit(inputs.back());
-            ASSERT_TRUE(f.has_value());
-            futures.push_back(std::move(*f));
-        }
-        runtime.drain();
-    }
-
-    for (std::size_t i = 0; i < kRequests; ++i) {
-        const LiveRequestResult r = futures[i].get();
-        ASSERT_EQ(r.status, LiveRequestStatus::Completed);
-        const Tensor direct =
-            model.forward(inputs[i], kSeq, LinearBackendKind::Dense);
-        ASSERT_EQ(r.output.rows(), direct.rows());
-        ASSERT_EQ(r.output.cols(), direct.cols());
-        for (std::size_t row = 0; row < direct.rows(); ++row)
-            for (std::size_t col = 0; col < direct.cols(); ++col)
-                ASSERT_EQ(r.output(row, col), direct(row, col))
-                    << "staged batch assembly must be bit-equal to "
-                       "inline assembly (request "
-                    << i << ")";
-    }
-
-    EXPECT_GT(stager.stats().bursts_staged, 0u)
-        << "dispatch must actually route through the stager";
 }
 
 // ---------------------------------------------------------------------
