@@ -7,9 +7,9 @@
  * of deterministic control-plane chaos (fault/chaos.h): worker stalls,
  * primary-path exception storms, slow batches, and heartbeat losses.
  * The full resilience layer is on — watchdog supervision, circuit
- * breaker, poison bisection, CoDel admission shedding, and the AIMD
- * in-flight limit — and the harness asserts the invariants that layer
- * exists to uphold:
+ * breaker, poison bisection, and the AIMD in-flight limit, tuned by
+ * the constants in runtime/resilience.h — and the harness asserts the
+ * invariants that layer exists to uphold:
  *
  *   1. Conservation at every level: completed + timed_out + shed +
  *      failed == admitted. No admitted request may vanish.
@@ -254,9 +254,10 @@ main(int argc, char **argv)
         payloads.push_back(std::move(t));
     }
 
-    // Resilience policy shared by every level. The stall duration
-    // (0.25 s) deliberately exceeds the watchdog's hang floor so
-    // injected stalls are seized and retried instead of waited out.
+    // Resilience policy shared by every level. The chaos stall
+    // duration (kChaosWorkerStallS) exceeds the watchdog's hang floor
+    // (kMinHangTimeoutS), so injected stalls are seized and retried
+    // instead of waited out.
     LiveServingConfig live_cfg;
     live_cfg.max_batch = max_batch;
     live_cfg.max_wait_s = 2e-3;
@@ -267,17 +268,9 @@ main(int argc, char **argv)
     live_cfg.faults.max_retries = 3;
     live_cfg.faults.backoff_base_s = 1e-4;
     live_cfg.faults.backoff_cap_s = 2e-3;
-    live_cfg.resilience.watchdog.enabled = true;
-    live_cfg.resilience.watchdog.hang_timeout_factor = 8.0;
-    live_cfg.resilience.watchdog.min_hang_timeout_s = 0.05;
-    live_cfg.resilience.watchdog.poll_slice_s = 2e-3;
-    live_cfg.resilience.breaker.enabled = true;
-    live_cfg.resilience.breaker.window = 16;
-    live_cfg.resilience.breaker.min_samples = 8;
-    live_cfg.resilience.breaker.failure_threshold = 0.5;
-    live_cfg.resilience.breaker.open_cooldown_s = 0.1;
-    live_cfg.resilience.overload.admission_shedding = true;
-    live_cfg.resilience.overload.aimd = true;
+    live_cfg.resilience.watchdog = true;
+    live_cfg.resilience.breaker = true;
+    live_cfg.resilience.aimd = true;
 
     printBanner(std::cout, "Chaos escalation soak");
     TablePrinter table({"Level", "Scale", "Admitted", "Completed",
@@ -297,11 +290,8 @@ main(int argc, char **argv)
                        : 1.0;
         ChaosConfig chaos_cfg;
         chaos_cfg.worker_stall_rate = scale * stall_rate;
-        chaos_cfg.worker_stall_s = 0.25;
         chaos_cfg.exception_rate = scale * exception_rate;
-        chaos_cfg.exceptions_primary_only = true;
         chaos_cfg.slow_rate = scale * slow_rate;
-        chaos_cfg.slow_extra_s = 10e-3;
         chaos_cfg.heartbeat_loss_rate = scale * heartbeat_loss_rate;
         const ChaosInjector chaos(chaos_cfg);
 

@@ -27,10 +27,6 @@ ChaosConfig::validate() const
     checkRate(exception_rate, "exception_rate");
     checkRate(slow_rate, "slow_rate");
     checkRate(heartbeat_loss_rate, "heartbeat_loss_rate");
-    if (worker_stall_s <= 0.0)
-        throw std::runtime_error("ChaosConfig.worker_stall_s must be > 0");
-    if (slow_extra_s <= 0.0)
-        throw std::runtime_error("ChaosConfig.slow_extra_s must be > 0");
 }
 
 ChaosInjector::ChaosInjector(ChaosConfig config)
@@ -54,7 +50,7 @@ ChaosInjector::stallSeconds(std::uint64_t batch,
                          attempt) >= config_.worker_stall_rate)
         return 0.0;
     stalls_->add();
-    return config_.worker_stall_s;
+    return kChaosWorkerStallS;
 }
 
 bool
@@ -63,7 +59,7 @@ ChaosInjector::injectException(std::uint64_t batch, std::uint64_t attempt,
 {
     if (config_.exception_rate <= 0.0)
         return false;
-    if (degraded && config_.exceptions_primary_only)
+    if (degraded)
         return false;
     if (faultHashUniform(config_.seed, kChaosExceptionStream, batch,
                          attempt) >= config_.exception_rate)
@@ -82,7 +78,7 @@ ChaosInjector::slowExtraSeconds(std::uint64_t batch,
         config_.slow_rate)
         return 0.0;
     slow_batches_->add();
-    return config_.slow_extra_s;
+    return kChaosSlowExtraS;
 }
 
 bool

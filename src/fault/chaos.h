@@ -9,7 +9,7 @@
  * LiveServingRuntime: workers that stall mid-batch, executors that
  * throw in storms, batches that run slow, and heartbeats that go
  * missing. These are the failure shapes the resilience layer
- * (watchdog, breaker, bisection, overload control) exists to survive,
+ * (watchdog, breaker, bisection, AIMD limit) exists to survive,
  * so the chaos harness (bench_chaos) drives escalating rates of them
  * and asserts the runtime's conservation and goodput invariants hold.
  *
@@ -39,7 +39,16 @@ inline constexpr std::uint64_t kChaosExceptionStream = 202;
 inline constexpr std::uint64_t kChaosSlowStream = 203;
 inline constexpr std::uint64_t kChaosHeartbeatStream = 204;
 
-/** Rates and magnitudes of the injectable chaos events. */
+/** Stall duration of a worker-stall event, seconds — long enough to
+ * trip the watchdog's hang floor, so stalls are seized and retried
+ * instead of waited out. */
+inline constexpr double kChaosWorkerStallS = 0.25;
+/** Extra executor latency of a slow-batch event, seconds. */
+inline constexpr double kChaosSlowExtraS = 10e-3;
+
+/** Rates of the injectable chaos events. Exceptions fire only on
+ * primary-path (non-degraded) attempts, modelling a faulty PIM path
+ * with a healthy host fallback. */
 struct ChaosConfig
 {
     /** Root of every deterministic draw. */
@@ -47,20 +56,13 @@ struct ChaosConfig
 
     /** Per batch-attempt probability the worker stalls mid-batch. */
     double worker_stall_rate = 0.0;
-    /** Stall duration, seconds (long enough to trip the watchdog). */
-    double worker_stall_s = 50e-3;
 
-    /** Per batch-attempt probability the executor throws. */
+    /** Per batch-attempt probability the primary-path executor
+     * throws. */
     double exception_rate = 0.0;
-    /** Throw only on primary-path (non-degraded) attempts, modelling a
-     * faulty PIM path with a healthy host fallback. False makes the
-     * storm path-blind (no goodput floor guarantee). */
-    bool exceptions_primary_only = true;
 
     /** Per batch-attempt probability of extra executor latency. */
     double slow_rate = 0.0;
-    /** Extra latency of a slow batch, seconds. */
-    double slow_extra_s = 10e-3;
 
     /** Per batch probability the worker's heartbeat is lost (the
      * watchdog sees a stale timestamp even though the worker is
@@ -75,7 +77,7 @@ struct ChaosConfig
                slow_rate > 0.0 || heartbeat_loss_rate > 0.0;
     }
 
-    /** Throws std::runtime_error on rates outside [0, 1] etc. */
+    /** Throws std::runtime_error on rates outside [0, 1]. */
     void validate() const;
 };
 
@@ -97,8 +99,8 @@ class ChaosInjector
      * batch @p batch (0 = no stall). */
     double stallSeconds(std::uint64_t batch, std::uint64_t attempt) const;
 
-    /** Throw an injected exception on this attempt? @p degraded skips
-     * the draw result when exceptions_primary_only. */
+    /** Throw an injected exception on this attempt? Degraded
+     * attempts never throw. */
     bool injectException(std::uint64_t batch, std::uint64_t attempt,
                          bool degraded) const;
 

@@ -14,42 +14,6 @@ registry()
 
 } // namespace
 
-void
-WatchdogConfig::validate() const
-{
-    if (expected_batch_latency_s < 0.0)
-        throw std::runtime_error(
-            "WatchdogConfig.expected_batch_latency_s must be >= 0");
-    if (hang_timeout_factor <= 0.0)
-        throw std::runtime_error(
-            "WatchdogConfig.hang_timeout_factor must be > 0");
-    if (min_hang_timeout_s <= 0.0)
-        throw std::runtime_error(
-            "WatchdogConfig.min_hang_timeout_s must be > 0");
-    if (poll_slice_s <= 0.0)
-        throw std::runtime_error("WatchdogConfig.poll_slice_s must be > 0");
-}
-
-void
-OverloadConfig::validate() const
-{
-    if (shed_delay_factor <= 0.0)
-        throw std::runtime_error(
-            "OverloadConfig.shed_delay_factor must be > 0");
-    if (assumed_batch_latency_s < 0.0)
-        throw std::runtime_error(
-            "OverloadConfig.assumed_batch_latency_s must be >= 0");
-    if (aimd_min_inflight == 0)
-        throw std::runtime_error(
-            "OverloadConfig.aimd_min_inflight must be > 0");
-    if (aimd_max_inflight != 0 && aimd_max_inflight < aimd_min_inflight)
-        throw std::runtime_error("OverloadConfig.aimd_max_inflight must be "
-                                 "0 or >= aimd_min_inflight");
-    if (aimd_decrease <= 0.0 || aimd_decrease >= 1.0)
-        throw std::runtime_error(
-            "OverloadConfig.aimd_decrease must be in (0, 1)");
-}
-
 const char *
 breakerStateName(BreakerState state)
 {
@@ -64,42 +28,10 @@ breakerStateName(BreakerState state)
     return "unknown";
 }
 
-void
-CircuitBreakerConfig::validate() const
-{
-    if (window == 0)
-        throw std::runtime_error("CircuitBreakerConfig.window must be > 0");
-    if (min_samples == 0 || min_samples > window)
-        throw std::runtime_error("CircuitBreakerConfig.min_samples must be "
-                                 "in [1, window]");
-    if (failure_threshold <= 0.0 || failure_threshold > 1.0)
-        throw std::runtime_error("CircuitBreakerConfig.failure_threshold "
-                                 "must be in (0, 1]");
-    if (open_cooldown_s <= 0.0)
-        throw std::runtime_error(
-            "CircuitBreakerConfig.open_cooldown_s must be > 0");
-    if (half_open_probes == 0)
-        throw std::runtime_error(
-            "CircuitBreakerConfig.half_open_probes must be > 0");
-    if (half_open_successes == 0 || half_open_successes > half_open_probes)
-        throw std::runtime_error("CircuitBreakerConfig.half_open_successes "
-                                 "must be in [1, half_open_probes]");
-}
-
-void
-ResilienceConfig::validate() const
-{
-    watchdog.validate();
-    breaker.validate();
-    overload.validate();
-}
-
-CircuitBreaker::CircuitBreaker(const CircuitBreakerConfig &config,
-                               Clock *clock,
+CircuitBreaker::CircuitBreaker(bool enabled, Clock *clock,
                                const std::string &metric_prefix)
-    : config_(config), clock_(clock)
+    : enabled_(enabled), clock_(clock)
 {
-    config_.validate();
     if (clock_ == nullptr)
         throw std::runtime_error("CircuitBreaker requires a clock");
     state_gauge_ = &registry().gauge(metric_prefix + ".state");
@@ -136,7 +68,7 @@ CircuitBreaker::pushOutcomeLocked(bool failure)
     outcomes_.push_back(failure);
     if (failure)
         window_failures_ += 1;
-    while (outcomes_.size() > config_.window) {
+    while (outcomes_.size() > kBreakerWindow) {
         if (outcomes_.front())
             window_failures_ -= 1;
         outcomes_.pop_front();
@@ -146,11 +78,11 @@ CircuitBreaker::pushOutcomeLocked(bool failure)
 bool
 CircuitBreaker::allowPrimary()
 {
-    if (!config_.enabled)
+    if (!enabled_)
         return true;
     MutexLock lock(mu_);
     if (state_ == BreakerState::Open &&
-        clock_->now() - opened_at_s_ >= config_.open_cooldown_s)
+        clock_->now() - opened_at_s_ >= kBreakerCooldownS)
         transitionLocked(BreakerState::HalfOpen);
     switch (state_) {
     case BreakerState::Closed:
@@ -158,7 +90,7 @@ CircuitBreaker::allowPrimary()
     case BreakerState::Open:
         return false;
     case BreakerState::HalfOpen:
-        if (probes_issued_ >= config_.half_open_probes)
+        if (probes_issued_ >= kBreakerProbes)
             return false;
         probes_issued_ += 1;
         probes_counter_->add();
@@ -170,14 +102,14 @@ CircuitBreaker::allowPrimary()
 void
 CircuitBreaker::recordSuccess()
 {
-    if (!config_.enabled)
+    if (!enabled_)
         return;
     MutexLock lock(mu_);
     if (state_ == BreakerState::Closed) {
         pushOutcomeLocked(false);
     } else if (state_ == BreakerState::HalfOpen) {
         probe_successes_ += 1;
-        if (probe_successes_ >= config_.half_open_successes)
+        if (probe_successes_ >= kBreakerProbeSuccesses)
             transitionLocked(BreakerState::Closed);
     }
 }
@@ -185,14 +117,14 @@ CircuitBreaker::recordSuccess()
 void
 CircuitBreaker::recordFailure()
 {
-    if (!config_.enabled)
+    if (!enabled_)
         return;
     MutexLock lock(mu_);
     if (state_ == BreakerState::Closed) {
         pushOutcomeLocked(true);
-        if (outcomes_.size() >= config_.min_samples &&
+        if (outcomes_.size() >= kBreakerMinSamples &&
             static_cast<double>(window_failures_) >=
-                config_.failure_threshold *
+                kBreakerFailureThreshold *
                     static_cast<double>(outcomes_.size()))
             transitionLocked(BreakerState::Open);
     } else if (state_ == BreakerState::HalfOpen) {

@@ -7,12 +7,13 @@
  * fragile: a worker hung inside a batch stalled its slot forever, a
  * poison request burned every batch it rode in, the PimLut->HostLut
  * fallback was re-decided per batch with no memory, and admission was
- * a static queue bound that kept accepting doomed requests. This
- * header holds the policy knobs and the circuit breaker that fix
- * those failure modes; the mechanisms (watchdog thread, bisection,
- * CoDel-style shedding, AIMD limit) live in the runtime
- * (serving_live.cc). Everything is driven by the injectable Clock so
- * ManualClock tests stay deterministic.
+ * a static queue bound that kept accepting more than the pipeline
+ * could drain. This header holds the on/off switches, the tuning
+ * constants, and the circuit breaker that fix those failure modes;
+ * the mechanisms (watchdog thread, bisection, AIMD limit) live in the
+ * runtime (serving_live.cc). The constants are the values the chaos
+ * soak (bench_chaos) was tuned and ablated with. Everything is driven
+ * by the injectable Clock so ManualClock tests stay deterministic.
  */
 
 #ifndef PIMDL_RUNTIME_RESILIENCE_H
@@ -29,63 +30,36 @@
 
 namespace pimdl {
 
-/**
- * Worker supervision: a watchdog thread polls per-worker heartbeats
- * and abandons slots whose in-flight batch exceeds a multiple of the
- * expected batch latency; the slot is respawned and the batch fails
- * onto the existing retry ladder.
- */
-struct WatchdogConfig
-{
-    bool enabled = false;
-    /** Expected batch service time, seconds; 0 learns an EWMA from
-     * observed service times (seeded by
-     * OverloadConfig::assumed_batch_latency_s). */
-    double expected_batch_latency_s = 0.0;
-    /** Hang threshold as a multiple of the expected batch latency. */
-    double hang_timeout_factor = 8.0;
-    /** Floor of the hang threshold, seconds — protects cold starts
-     * where no latency estimate exists yet. */
-    double min_hang_timeout_s = 0.25;
-    /** Real-time poll cadence of the watchdog thread, seconds. The
-     * watchdog always sleeps real time and re-reads the (possibly
-     * virtual) clock, mirroring the batcher's poll-slice pattern. */
-    double poll_slice_s = 1e-3;
+/** Watchdog hang threshold as a multiple of the expected batch
+ * latency (an EWMA of served batches). */
+inline constexpr double kHangTimeoutFactor = 8.0;
+/** Floor of the hang threshold, seconds — protects cold starts where
+ * no latency estimate exists yet. */
+inline constexpr double kMinHangTimeoutS = 0.05;
+/** Real-time poll cadence of the watchdog thread, seconds. The watchdog
+ * always sleeps real time and re-reads the (possibly virtual) clock,
+ * mirroring the batcher's poll-slice pattern. */
+inline constexpr double kWatchdogPollS = 2e-3;
 
-    /** Throws std::runtime_error with a field-naming message. */
-    void validate() const;
-};
+/** Lower bound of the AIMD in-flight limit (never starve fully); the
+ * upper bound is the runtime's derived pipeline capacity. */
+inline constexpr double kAimdMinInflight = 4.0;
+/** Multiplicative decrease of the in-flight limit on batch
+ * failure/hang/retry. */
+inline constexpr double kAimdDecrease = 0.5;
 
-/**
- * Adaptive overload control: CoDel-style admission shedding (reject
- * when the estimated queue delay already exceeds the request's
- * deadline budget) plus an AIMD bound on admitted-but-unresolved
- * requests.
- */
-struct OverloadConfig
-{
-    /** Shed at admission when the estimated queue delay dooms the
-     * request's deadline budget. */
-    bool admission_shedding = false;
-    /** Shed when deadline budget <= factor * estimated queue delay. */
-    double shed_delay_factor = 1.0;
-    /** Seeds the batch-service EWMA the delay estimate (and the
-     * watchdog timeout) reads before any batch completed, seconds. */
-    double assumed_batch_latency_s = 0.0;
-
-    /** Enforce an AIMD limit on in-flight (admitted, unresolved)
-     * requests. */
-    bool aimd = false;
-    /** Lower bound of the in-flight limit (never starve fully). */
-    std::size_t aimd_min_inflight = 4;
-    /** Upper bound; 0 derives the pipeline capacity at construction. */
-    std::size_t aimd_max_inflight = 0;
-    /** Multiplicative decrease on batch failure/hang/timeout. */
-    double aimd_decrease = 0.5;
-
-    /** Throws std::runtime_error with a field-naming message. */
-    void validate() const;
-};
+/** Sliding window of recent primary-path outcomes. */
+inline constexpr std::size_t kBreakerWindow = 16;
+/** Outcomes required before the failure rate can trip the breaker. */
+inline constexpr std::size_t kBreakerMinSamples = 8;
+/** Failure fraction of the window that opens the breaker. */
+inline constexpr double kBreakerFailureThreshold = 0.5;
+/** Seconds spent Open before probing (HalfOpen). */
+inline constexpr double kBreakerCooldownS = 0.1;
+/** Primary probes admitted while HalfOpen. */
+inline constexpr std::size_t kBreakerProbes = 3;
+/** Probe successes required to close again. */
+inline constexpr std::size_t kBreakerProbeSuccesses = 2;
 
 /** State machine of the per-backend-path circuit breaker. */
 enum class BreakerState
@@ -102,28 +76,6 @@ enum class BreakerState
 /** Human-readable state name. */
 const char *breakerStateName(BreakerState state);
 
-/** Failure-window and probe policy of the circuit breaker. */
-struct CircuitBreakerConfig
-{
-    bool enabled = false;
-    /** Sliding window of recent primary-path outcomes. */
-    std::size_t window = 16;
-    /** Outcomes required before the failure rate can trip the
-     * breaker. */
-    std::size_t min_samples = 8;
-    /** Failure fraction of the window that opens the breaker. */
-    double failure_threshold = 0.5;
-    /** Seconds spent Open before probing (HalfOpen). */
-    double open_cooldown_s = 0.25;
-    /** Primary probes admitted while HalfOpen. */
-    std::size_t half_open_probes = 3;
-    /** Probe successes required to close again (<= probes). */
-    std::size_t half_open_successes = 2;
-
-    /** Throws std::runtime_error with a field-naming message. */
-    void validate() const;
-};
-
 /**
  * Per-backend-path circuit breaker (Closed -> Open -> HalfOpen).
  * Wraps the runtime's primary (PimLut) path: sustained primary
@@ -139,7 +91,8 @@ struct CircuitBreakerConfig
 class CircuitBreaker
 {
   public:
-    CircuitBreaker(const CircuitBreakerConfig &config, Clock *clock,
+    /** A disabled breaker always allows the primary path. */
+    CircuitBreaker(bool enabled, Clock *clock,
                    const std::string &metric_prefix);
 
     /** True when the caller may run the primary path now. Always true
@@ -154,13 +107,11 @@ class CircuitBreaker
     /** Times the breaker opened over its lifetime. */
     std::size_t opens() const PIMDL_EXCLUDES(mu_);
 
-    const CircuitBreakerConfig &config() const { return config_; }
-
   private:
     void transitionLocked(BreakerState next) PIMDL_REQUIRES(mu_);
     void pushOutcomeLocked(bool failure) PIMDL_REQUIRES(mu_);
 
-    const CircuitBreakerConfig config_;
+    const bool enabled_;
     Clock *clock_;
 
     mutable Mutex mu_{"resilience.breaker"};
@@ -179,19 +130,21 @@ class CircuitBreaker
     obs::Counter *probes_counter_ = nullptr;
 };
 
-/** The full resilience policy of one LiveServingRuntime. */
+/**
+ * The resilience policy of one LiveServingRuntime: three independent
+ * switches. Poison bisection is always on; the tuning of every
+ * mechanism is the constants above.
+ */
 struct ResilienceConfig
 {
-    WatchdogConfig watchdog;
-    CircuitBreakerConfig breaker;
-    OverloadConfig overload;
-    /** Bisect a batch that exhausted its retries into sub-batches
-     * until the poisonous request(s) are isolated and failed
-     * individually, instead of failing the whole batch. */
-    bool bisect_poison = true;
-
-    /** Throws std::runtime_error with a field-naming message. */
-    void validate() const;
+    /** Watchdog thread that seizes batches from hung workers and
+     * respawns the slot; the batch retries on the fault ladder. */
+    bool watchdog = false;
+    /** Circuit breaker pinning sustained primary-path failures to the
+     * degraded path. */
+    bool breaker = false;
+    /** AIMD bound on admitted-but-unresolved requests. */
+    bool aimd = false;
 };
 
 } // namespace pimdl

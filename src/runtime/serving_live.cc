@@ -1,7 +1,6 @@
 #include "serving_live.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <exception>
@@ -37,22 +36,6 @@ pow2Bucket(std::size_t batch, std::size_t max_batch)
         padded <<= 1;
     return std::min(padded, max_batch);
 }
-
-/** Scope guard over an atomic in-flight counter. */
-class ActiveGuard
-{
-  public:
-    explicit ActiveGuard(std::atomic<std::int64_t> &count) : count_(count)
-    {
-        count_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ~ActiveGuard() { count_.fetch_sub(1, std::memory_order_relaxed); }
-    ActiveGuard(const ActiveGuard &) = delete;
-    ActiveGuard &operator=(const ActiveGuard &) = delete;
-
-  private:
-    std::atomic<std::int64_t> &count_;
-};
 
 } // namespace
 
@@ -93,7 +76,6 @@ LiveServingConfig::validate() const
     PIMDL_REQUIRE(std::isfinite(deadline_s) && deadline_s >= 0.0,
                   "deadline_s must be finite and non-negative (0 = off)");
     faults.validate();
-    resilience.validate();
 }
 
 void
@@ -174,18 +156,12 @@ LiveServingRuntime::LiveServingRuntime(const LiveServingConfig &config,
     breaker_ = std::make_unique<CircuitBreaker>(
         config_.resilience.breaker, clock_, "serving.live.breaker");
 
-    const OverloadConfig &ov = config_.resilience.overload;
-    batch_service_ewma_.store(ov.assumed_batch_latency_s,
-                              std::memory_order_relaxed);
     // Pipeline capacity: everything that can be admitted-but-
     // unresolved at once (request queue + buffered batches + batches
     // executing in workers).
-    const double pipeline_cap = static_cast<double>(
+    inflight_cap_ = static_cast<double>(
         config_.queue_capacity +
         (work_queue_.capacity() + config_.workers) * config_.max_batch);
-    inflight_cap_ = ov.aimd_max_inflight > 0
-                        ? static_cast<double>(ov.aimd_max_inflight)
-                        : pipeline_cap;
     inflight_limit_.store(inflight_cap_, std::memory_order_relaxed);
     m_.inflight_limit->set(inflight_cap_);
 
@@ -203,33 +179,13 @@ LiveServingRuntime::LiveServingRuntime(const LiveServingConfig &config,
             slots_.push_back(std::move(slot));
         }
     }
-    if (config_.resilience.watchdog.enabled)
+    if (config_.resilience.watchdog)
         watchdog_ = std::thread(&LiveServingRuntime::watchdogLoop, this);
 }
 
 LiveServingRuntime::~LiveServingRuntime()
 {
     drain();
-}
-
-double
-LiveServingRuntime::estimatedQueueDelayS() const
-{
-    const double svc =
-        batch_service_ewma_.load(std::memory_order_relaxed);
-    if (svc <= 0.0)
-        return 0.0;
-    // Batches ahead of a request admitted now: the queue (including
-    // itself) once batched, plus buffered and executing batches.
-    const std::size_t queued_batches =
-        (request_queue_.size() + config_.max_batch) / config_.max_batch;
-    const std::int64_t active =
-        std::max<std::int64_t>(
-            active_batches_.load(std::memory_order_relaxed), 0);
-    const double batches_ahead =
-        static_cast<double>(queued_batches + work_queue_.size()) +
-        static_cast<double>(active);
-    return batches_ahead * svc / static_cast<double>(config_.workers);
 }
 
 std::optional<std::future<LiveRequestResult>>
@@ -259,8 +215,7 @@ LiveServingRuntime::submit(Tensor input, std::uint64_t tenant,
         return std::nullopt;
     }
 
-    const OverloadConfig &ov = config_.resilience.overload;
-    if (ov.aimd &&
+    if (config_.resilience.aimd &&
         static_cast<double>(
             inflight_.load(std::memory_order_relaxed)) >=
             inflight_limit_.load(std::memory_order_relaxed)) {
@@ -289,20 +244,13 @@ LiveServingRuntime::submit(Tensor input, std::uint64_t tenant,
     std::future<LiveRequestResult> future = req->promise.get_future();
 
     // Shed at admission instead of wasting a queue slot and batcher
-    // work on a doomed request: the deadline already passed, or the
-    // estimated queue delay alone exceeds the remaining budget. The
+    // work on a request whose deadline already passed. The
     // has_deadline flag (not deadline_abs_s > 0) covers an explicit
     // budget of 0 at virtual time 0, where the absolute deadline
     // collides with the "no deadline" sentinel.
-    if (has_deadline) {
-        bool doomed = now >= req->deadline_abs_s;
-        if (!doomed && ov.admission_shedding)
-            doomed = now + ov.shed_delay_factor * estimatedQueueDelayS() >=
-                     req->deadline_abs_s;
-        if (doomed) {
-            fulfillShed(std::move(req), now, /*at_admission=*/true);
-            return future;
-        }
+    if (has_deadline && now >= req->deadline_abs_s) {
+        fulfillShed(std::move(req), now, /*at_admission=*/true);
+        return future;
     }
 
     inflight_.fetch_add(1, std::memory_order_relaxed);
@@ -449,7 +397,6 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
 {
     obs::TraceSpan span("serving.live.batch");
     span.attr("batch_id", task.id);
-    ActiveGuard active(active_batches_);
     const std::size_t batch = task.requests.size();
     span.attr("batch_size", static_cast<std::uint64_t>(batch));
     const std::size_t seq = task.requests.front()->input.rows();
@@ -588,7 +535,7 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
     }
 
     if (!served) {
-        if (config_.resilience.bisect_poison && batch > 1) {
+        if (batch > 1) {
             // The whole batch exhausted its retries — isolate the
             // poison by bisection instead of failing the innocents.
             m_.bisections->add(1);
@@ -689,9 +636,9 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
     m_.batch_service_s->record(service);
 
     if (served) {
-        // Feed the service EWMA (queue-delay estimate, watchdog
-        // timeout). Racy read-modify-write across workers is fine:
-        // the estimate is advisory.
+        // Feed the service EWMA (watchdog timeout). Racy
+        // read-modify-write across workers is fine: the estimate is
+        // advisory.
         const double prev =
             batch_service_ewma_.load(std::memory_order_relaxed);
         const double next =
@@ -728,18 +675,15 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
 double
 LiveServingRuntime::hangTimeoutS() const
 {
-    const WatchdogConfig &wd = config_.resilience.watchdog;
-    double expected = wd.expected_batch_latency_s;
-    if (expected <= 0.0)
-        expected = batch_service_ewma_.load(std::memory_order_relaxed);
-    return std::max(wd.hang_timeout_factor * expected,
-                    wd.min_hang_timeout_s);
+    const double ewma =
+        batch_service_ewma_.load(std::memory_order_relaxed);
+    return std::max(kHangTimeoutFactor * ewma, kMinHangTimeoutS);
 }
 
 void
 LiveServingRuntime::aimdIncreaseLocked()
 {
-    if (!config_.resilience.overload.aimd)
+    if (!config_.resilience.aimd)
         return;
     const double next = std::min(
         inflight_limit_.load(std::memory_order_relaxed) + kAimdIncrease,
@@ -751,13 +695,11 @@ LiveServingRuntime::aimdIncreaseLocked()
 void
 LiveServingRuntime::aimdDecreaseLocked()
 {
-    if (!config_.resilience.overload.aimd)
+    if (!config_.resilience.aimd)
         return;
     const double next = std::max(
-        inflight_limit_.load(std::memory_order_relaxed) *
-            config_.resilience.overload.aimd_decrease,
-        static_cast<double>(
-            config_.resilience.overload.aimd_min_inflight));
+        inflight_limit_.load(std::memory_order_relaxed) * kAimdDecrease,
+        kAimdMinInflight);
     inflight_limit_.store(next, std::memory_order_relaxed);
     m_.inflight_limit->set(next);
 }
@@ -783,15 +725,13 @@ LiveServingRuntime::respawnWorker(const WorkerState *old)
 void
 LiveServingRuntime::watchdogLoop()
 {
-    const auto slice = std::chrono::duration<double>(
-        config_.resilience.watchdog.poll_slice_s);
     while (!watchdog_stop_.load(std::memory_order_acquire)) {
         // Real-time sleep even under a virtual clock — the watchdog
         // re-reads (possibly virtual) time each poll, mirroring the
         // batcher's poll-slice pattern. Routed through SteadyClock so
         // raw std::this_thread::sleep_for stays banned outside
         // common/clock.h (scripts/lint_invariants.py).
-        SteadyClock::instance().sleepFor(slice.count());
+        SteadyClock::instance().sleepFor(kWatchdogPollS);
         const double now = clock_->now();
         const double timeout = hangTimeoutS();
 

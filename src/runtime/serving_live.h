@@ -17,10 +17,10 @@
  * a watchdog thread seizes batches from hung workers and respawns the
  * slot, poison batches that exhaust retries are bisected until the
  * poisonous request is isolated, a circuit breaker pins sustained
- * primary-path failures to the degraded path, and overload control
- * sheds doomed requests at admission (CoDel-style) under an AIMD
- * in-flight limit. A deterministic chaos injector (fault/chaos.h) can
- * be attached to drive all of it in soak tests.
+ * primary-path failures to the degraded path, and an AIMD limit
+ * bounds admitted-but-unresolved requests. A deterministic chaos
+ * injector (fault/chaos.h) can be attached to drive all of it in soak
+ * tests.
  *
  * Every time-dependent decision (max-wait, deadlines, backoff, hang
  * timeouts, breaker cooldowns) reads an injectable Clock, so tests
@@ -58,8 +58,8 @@ enum class LiveRequestStatus
     Completed,
     /** Served, but past the per-request deadline. */
     TimedOut,
-    /** Dropped before execution: deadline already doomed at admission
-     * or passed by dispatch time. */
+    /** Dropped before execution: deadline already passed at admission
+     * or by dispatch time. */
     Shed,
     /** Lost to a batch that exhausted its retries. */
     Failed,
@@ -158,8 +158,7 @@ struct LiveServingConfig
     bool collect_outputs = true;
     /** Per-batch fault semantics, shared with the simulator. */
     ServingFaultProfile faults;
-    /** Control-plane resilience: watchdog, breaker, overload,
-     * poison bisection. */
+    /** Control-plane resilience switches: watchdog, breaker, AIMD. */
     ResilienceConfig resilience;
 
     /** Throws std::runtime_error with a field-naming message. */
@@ -183,8 +182,8 @@ struct LiveServingStats
     std::size_t timed_out = 0;
     /** Requests dropped pre-execution (admission or dispatch). */
     std::size_t shed = 0;
-    /** Sheds decided at admission time (subset of shed): deadline
-     * already expired, or the estimated queue delay doomed it. */
+    /** Sheds decided at admission time (subset of shed): the
+     * deadline budget had already expired. */
     std::size_t shed_admission = 0;
     /** Requests lost to batches that exhausted retries. */
     std::size_t failed_requests = 0;
@@ -279,13 +278,6 @@ class LiveServingRuntime
 
     /** Current circuit-breaker state of the primary backend path. */
     BreakerState breakerState() const { return breaker_->state(); }
-
-    /**
-     * Seconds a request admitted now is expected to wait before its
-     * batch starts executing, from the queue depths and the served
-     * batch-latency EWMA (0 until an estimate exists).
-     */
-    double estimatedQueueDelayS() const;
 
     const LiveServingConfig &config() const { return config_; }
 
@@ -395,16 +387,16 @@ class LiveServingRuntime
         PIMDL_EXCLUDES(stats_mu_);
     void fulfillShed(std::unique_ptr<PendingRequest> req, double now,
                      bool at_admission) PIMDL_EXCLUDES(stats_mu_);
-    /** Terminal failure of a whole batch (retries exhausted with
-     * bisection off/exhausted, or watchdog give-up). */
+    /** Terminal failure of a batch the watchdog seized but could not
+     * re-dispatch (retries exhausted or work queue refused it). */
     void failBatch(BatchTask task, double now)
         PIMDL_EXCLUDES(stats_mu_);
     /** Marks @p old abandoned and starts a replacement thread in its
      * slot; the dead thread joins at drain. */
     void respawnWorker(const WorkerState *old)
         PIMDL_EXCLUDES(workers_mu_);
-    /** Hang threshold: factor x expected (configured or EWMA) batch
-     * latency, floored at min_hang_timeout_s. */
+    /** Hang threshold: kHangTimeoutFactor x the batch-latency EWMA,
+     * floored at kMinHangTimeoutS. */
     double hangTimeoutS() const;
     void aimdIncreaseLocked() PIMDL_REQUIRES(stats_mu_);
     void aimdDecreaseLocked() PIMDL_REQUIRES(stats_mu_);
@@ -433,12 +425,10 @@ class LiveServingRuntime
     /** Current AIMD limit; read lock-free by submit, updated under
      * stats_mu_. */
     std::atomic<double> inflight_limit_{0.0};
-    /** EWMA of served batch latency, seconds (queue-delay estimate
-     * and watchdog timeout input). */
+    /** EWMA of served batch latency, seconds (watchdog timeout
+     * input). */
     std::atomic<double> batch_service_ewma_{0.0};
-    /** Batches currently executing in workers. */
-    std::atomic<std::int64_t> active_batches_{0};
-    /** Ceiling of the AIMD limit (config or derived capacity). */
+    /** Ceiling of the AIMD limit: the derived pipeline capacity. */
     double inflight_cap_ = 0.0;
 
     /** Serializes drain() callers (destructor vs explicit drain). */
