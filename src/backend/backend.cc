@@ -58,18 +58,6 @@ TransactionSimConfig::validate() const
         throw std::runtime_error(
             "TransactionSimConfig.host_traffic_intensity must be in "
             "[0, 0.85] (beyond that the PIM share of a quantum vanishes)");
-    if (arbitration_quantum_s <= 0.0)
-        throw std::runtime_error(
-            "TransactionSimConfig.arbitration_quantum_s must be > 0");
-    if (refresh_interval_s <= 0.0)
-        throw std::runtime_error(
-            "TransactionSimConfig.refresh_interval_s must be > 0");
-    if (max_sim_banks == 0)
-        throw std::runtime_error(
-            "TransactionSimConfig.max_sim_banks must be >= 1");
-    if (max_cmds_per_component == 0)
-        throw std::runtime_error(
-            "TransactionSimConfig.max_cmds_per_component must be >= 1");
 }
 
 CostedPlan

@@ -60,8 +60,9 @@ bool parseTimingBackendKind(const std::string &name,
 TimingBackendKind defaultTimingBackendKind();
 
 /**
- * Knobs of the transaction-level simulator. Defaults model a DDR4-class
- * module; every field is a calibration parameter in the DESIGN.md sense.
+ * Knobs of the transaction-level simulator. Its DDR4-class timing
+ * (tREFI, arbitration quantum, command granularity) is fixed in
+ * transaction.cc.
  */
 struct TransactionSimConfig
 {
@@ -72,30 +73,6 @@ struct TransactionSimConfig
      * (the zero-traffic run is bit-identical to a no-arbitration run).
      */
     double host_traffic_intensity = 0.0;
-    /** Arbitration granting period, seconds. */
-    double arbitration_quantum_s = 20e-6;
-    /** Refresh command period per bank (tREFI), seconds. */
-    double refresh_interval_s = 7.8e-6;
-    /**
-     * Representative bank queues simulated per node. PEs run in
-     * lock-step on identical tile shapes (cost_model.h), so a few
-     * representative queues reproduce the full-module makespan.
-     */
-    std::size_t max_sim_banks = 4;
-    /**
-     * Per logical transfer stream (index loads, LUT chunk loads, ...),
-     * coalesce the chunk sequence into at most this many commands.
-     * Durations are conserved exactly; only event-loop granularity
-     * changes.
-     */
-    std::size_t max_cmds_per_component = 64;
-    /**
-     * Budget of "backend.txn.tick" trace spans one backend instance may
-     * emit: the first N node simulations are traced, later ones only
-     * counted (backend.txn.trace_suppressed) so plan-heavy sweeps
-     * cannot flood the bounded trace ring.
-     */
-    std::size_t trace_span_budget = 256;
     /** Keep a per-command execution log in reports (tests only). */
     bool record_commands = false;
 

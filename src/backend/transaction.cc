@@ -1,7 +1,6 @@
 #include "transaction.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <utility>
 
@@ -22,6 +21,28 @@ constexpr double kModeSwitchS = 0.5e-6;
 constexpr double kRefreshLatencyS = 350e-9;
 /** Decode/issue overhead per bank command, seconds. */
 constexpr double kCmdIssueOverheadS = 20e-9;
+/** Refresh command period per bank (tREFI), seconds. */
+constexpr double kRefreshIntervalS = 7.8e-6;
+/** Host/PIM arbitration granting period, seconds. */
+constexpr double kArbitrationQuantumS = 20e-6;
+/**
+ * Representative bank queues simulated per node. PEs run in lock-step
+ * on identical tile shapes (cost_model.h), so a few representative
+ * queues reproduce the full-module makespan.
+ */
+constexpr std::size_t kMaxSimBanks = 4;
+/**
+ * Commands one component (index loads, LUT chunks, ...) is split into
+ * at most. Durations are conserved exactly; only event-loop
+ * granularity changes.
+ */
+constexpr std::size_t kMaxCmdsPerComponent = 64;
+/**
+ * "backend.txn.tick" spans one backend instance emits: later node
+ * simulations are only counted (backend.txn.trace_suppressed) so
+ * plan-heavy sweeps cannot flood the bounded trace ring.
+ */
+constexpr std::uint64_t kTraceSpanBudget = 256;
 
 std::size_t
 kindIndex(TxnCommandKind kind)
@@ -57,29 +78,27 @@ struct TxnQueue
 
 /**
  * Splits @p total_busy_s of work covering @p logical_chunks transfers
- * or op slices into at most @p cap equal commands (duration conserved).
+ * or op slices into at most kMaxCmdsPerComponent equal commands
+ * (duration conserved).
  */
 std::vector<double>
-splitBusy(double total_busy_s, double logical_chunks, std::size_t cap)
+splitBusy(double total_busy_s, double logical_chunks)
 {
     if (total_busy_s <= 0.0 || logical_chunks <= 0.0)
         return {};
-    const double capped =
-        std::min(logical_chunks, static_cast<double>(cap));
+    const double capped = std::min(
+        logical_chunks, static_cast<double>(kMaxCmdsPerComponent));
     const std::size_t ncmd = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::llround(capped)));
     return std::vector<double>(ncmd, total_busy_s /
                                          static_cast<double>(ncmd));
 }
 
-/** splitBusy for a chunked transfer stream priced at bw(chunk_bytes). */
-std::vector<double>
-splitChunks(double chunks, double chunk_bytes, double bandwidth,
-            std::size_t cap)
+/** Bank queues simulated for a node spread over @p num_pes PEs. */
+std::size_t
+simBanks(std::size_t num_pes)
 {
-    if (chunks <= 0.0 || chunk_bytes <= 0.0 || bandwidth <= 0.0)
-        return {};
-    return splitBusy(chunks * chunk_bytes / bandwidth, chunks, cap);
+    return std::max<std::size_t>(1, std::min(kMaxSimBanks, num_pes));
 }
 
 /**
@@ -91,7 +110,8 @@ class TxnSim
   public:
     TxnSim(const TransactionSimConfig &config, std::size_t banks,
            std::size_t lanes_per_bank)
-        : config_(config), lanes_per_bank_(lanes_per_bank)
+        : intensity_(config.host_traffic_intensity),
+          lanes_per_bank_(lanes_per_bank)
     {
         queues_.resize(1 + banks * lanes_per_bank);
         for (std::size_t q = 1; q < queues_.size(); ++q)
@@ -221,19 +241,18 @@ class TxnSim
     {
         double busy = busy_s + kCmdIssueOverheadS;
 
-        const double refi = config_.refresh_interval_s;
-        const double before = std::floor(queue.busy_accum / refi);
+        const double before =
+            std::floor(queue.busy_accum / kRefreshIntervalS);
         queue.busy_accum += busy;
         const auto refreshes = static_cast<std::size_t>(
-            std::floor(queue.busy_accum / refi) - before);
+            std::floor(queue.busy_accum / kRefreshIntervalS) - before);
         double duration =
             busy + static_cast<double>(refreshes) * kRefreshLatencyS;
         report_.refreshes += refreshes;
 
-        const double intensity = config_.host_traffic_intensity;
-        if (intensity > 0.0) {
-            const double quantum = config_.arbitration_quantum_s;
-            const double pim_share = (1.0 - intensity) * quantum;
+        if (intensity_ > 0.0) {
+            const double pim_share =
+                (1.0 - intensity_) * kArbitrationQuantumS;
             const double windows_before =
                 std::floor(queue.arb_accum / pim_share);
             queue.arb_accum += duration;
@@ -241,7 +260,8 @@ class TxnSim
                 std::floor(queue.arb_accum / pim_share) - windows_before);
             if (windows > 0) {
                 duration += static_cast<double>(windows) *
-                            (intensity * quantum + 2.0 * kModeSwitchS);
+                            (intensity_ * kArbitrationQuantumS +
+                             2.0 * kModeSwitchS);
                 report_.bank_conflicts += windows;
                 report_.mode_switches += 2 * windows;
             }
@@ -249,7 +269,7 @@ class TxnSim
         return duration;
     }
 
-    TransactionSimConfig config_;
+    double intensity_ = 0.0;
     std::size_t lanes_per_bank_ = 1;
     std::vector<TxnQueue> queues_;
     std::vector<bool> switch_phases_;
@@ -282,46 +302,6 @@ pushInterleaved(TxnSim &sim, std::size_t queue, std::size_t phase,
             any = true;
         }
     }
-}
-
-/** reloadCount twin of cost_model.cc (kept in sync by the xval gate). */
-double
-reloadCount(TraversalOrder order, bool depends_n, bool depends_f,
-            bool depends_c, double tn, double tf, double tc)
-{
-    struct Dim
-    {
-        double trips;
-        bool depends;
-    };
-    std::array<Dim, 3> nest{};
-    switch (order) {
-    case TraversalOrder::NFC:
-        nest = {{{tn, depends_n}, {tf, depends_f}, {tc, depends_c}}};
-        break;
-    case TraversalOrder::NCF:
-        nest = {{{tn, depends_n}, {tc, depends_c}, {tf, depends_f}}};
-        break;
-    case TraversalOrder::FNC:
-        nest = {{{tf, depends_f}, {tn, depends_n}, {tc, depends_c}}};
-        break;
-    case TraversalOrder::FCN:
-        nest = {{{tf, depends_f}, {tc, depends_c}, {tn, depends_n}}};
-        break;
-    case TraversalOrder::CNF:
-        nest = {{{tc, depends_c}, {tn, depends_n}, {tf, depends_f}}};
-        break;
-    case TraversalOrder::CFN:
-        nest = {{{tc, depends_c}, {tf, depends_f}, {tn, depends_n}}};
-        break;
-    }
-    double reuse = 1.0;
-    for (int i = 2; i >= 0; --i) {
-        if (nest[static_cast<std::size_t>(i)].depends)
-            break;
-        reuse *= nest[static_cast<std::size_t>(i)].trips;
-    }
-    return (tn * tf * tc) / reuse;
 }
 
 } // namespace
@@ -380,130 +360,45 @@ TransactionBackend::TransactionBackend(PimPlatformConfig platform,
 }
 
 TxnNodeReport
-TransactionBackend::simulateLut(const LutWorkloadShape &shape,
-                                const LutMapping &mapping) const
+TransactionBackend::simulateLut(const LutCostBreakdown &cost,
+                                std::size_t num_pes) const
 {
-    std::string reason;
-    PIMDL_REQUIRE(mappingIsLegal(platform_, shape, mapping, &reason),
-                  "transaction sim of an illegal mapping: " + reason);
-
-    const std::size_t num_pes = mapping.totalPes(shape);
+    PIMDL_REQUIRE(cost.legal, "transaction sim of an illegal mapping: " +
+                                  cost.illegal_reason);
     const double pes = static_cast<double>(num_pes);
-    const double lut_dtype = platform_.lut_dtype_bytes;
-    const std::size_t cap = config_.max_cmds_per_component;
-    const std::size_t banks =
-        std::max<std::size_t>(1, std::min(config_.max_sim_banks, num_pes));
+    const std::size_t banks = simBanks(num_pes);
 
     TxnSim sim(config_, banks, 1);
 
     // Phase 0 (memory mode): sub-LUT partition transfers over the host
-    // link (Eq. 3-4 quantities) plus the kernel launch.
-    const double index_tile_bytes = static_cast<double>(mapping.ns_tile) *
-                                    shape.cb * shape.index_dtype_bytes;
-    const double lut_tile_bytes = static_cast<double>(shape.cb) *
-                                  shape.ct * mapping.fs_tile * lut_dtype;
-    const double out_tile_bytes = static_cast<double>(mapping.ns_tile) *
-                                  mapping.fs_tile *
-                                  shape.output_dtype_bytes;
+    // link (Eq. 3-4), one payload per PE, plus the kernel launch.
     sim.pushAll(sim.linkQueue(), TxnCommandKind::Broadcast, 0,
-                splitChunks(pes, index_tile_bytes,
-                            platform_.host_broadcast.at(index_tile_bytes),
-                            cap));
-    if (!platform_.lut_resident) {
-        sim.pushAll(sim.linkQueue(), TxnCommandKind::Scatter, 0,
-                    splitChunks(pes, lut_tile_bytes,
-                                platform_.host_scatter.at(lut_tile_bytes),
-                                cap));
-    }
+                splitBusy(cost.t_sub_index, pes));
+    sim.pushAll(sim.linkQueue(), TxnCommandKind::Scatter, 0,
+                splitBusy(cost.t_sub_lut, pes));
     sim.push(sim.linkQueue(), TxnCommandKind::KernelLaunch, 0,
-             platform_.kernel_launch_overhead_s);
+             cost.kernel_launch);
 
-    // Phase 1 (PIM mode): the micro-kernel loop nest on every bank, at
-    // the tile granularity of Eq. 6-10.
-    const double tn =
-        static_cast<double>(mapping.ns_tile) / mapping.nm_tile;
-    const double tf =
-        static_cast<double>(mapping.fs_tile) / mapping.fm_tile;
-    const double tc = static_cast<double>(shape.cb) / mapping.cbm_tile;
-    const double iters = tn * tf * tc;
-
-    const double idx_mtile = static_cast<double>(mapping.nm_tile) *
-                             mapping.cbm_tile * shape.index_dtype_bytes;
-    const double idx_loads =
-        reloadCount(mapping.order, true, false, true, tn, tf, tc);
-    const double out_mtile =
-        static_cast<double>(mapping.nm_tile) * mapping.fm_tile * 4.0;
-    const double out_loads =
-        reloadCount(mapping.order, true, true, false, tn, tf, tc);
-
-    std::vector<double> lut_cmds;
-    switch (mapping.scheme) {
-    case LutLoadScheme::Static: {
-        // One bulk DMA of the whole per-PE LUT tile at kernel start.
-        const double bytes = static_cast<double>(shape.cb) * shape.ct *
-                             mapping.fs_tile * lut_dtype;
-        lut_cmds = splitBusy(bytes / platform_.pe_stream.peak, 1.0, cap);
-        break;
-    }
-    case LutLoadScheme::CoarseGrain: {
-        const double region_loads =
-            reloadCount(mapping.order, false, true, true, tn, tf, tc);
-        const double chunks_per_region =
-            (static_cast<double>(mapping.cbm_tile) /
-             mapping.cb_load_tile) *
-            (static_cast<double>(mapping.fm_tile) / mapping.f_load_tile);
-        const double chunk_bytes =
-            static_cast<double>(mapping.cb_load_tile) * shape.ct *
-            mapping.f_load_tile * lut_dtype;
-        lut_cmds = splitChunks(region_loads * chunks_per_region,
-                               chunk_bytes,
-                               platform_.pe_stream.at(chunk_bytes), cap);
-        break;
-    }
-    case LutLoadScheme::FineGrain: {
-        const double chunk_bytes =
-            static_cast<double>(mapping.f_load_tile) * lut_dtype;
-        const double chunks =
-            iters * mapping.nm_tile * mapping.cbm_tile *
-            (static_cast<double>(mapping.fm_tile) / mapping.f_load_tile);
-        const double eff_bw = std::min(
-            platform_.pe_stream.peak,
-            platform_.pe_stream.at(chunk_bytes) *
-                static_cast<double>(platform_.pe_parallel_slots));
-        lut_cmds = splitChunks(chunks, chunk_bytes, eff_bw, cap);
-        break;
-    }
-    }
-
-    const double adds = static_cast<double>(mapping.ns_tile) *
-                        mapping.fs_tile * shape.cb;
-    const double lookups =
-        static_cast<double>(mapping.ns_tile) * shape.cb * tf;
-    const double reduce_s = adds / platform_.pe_add_ops_per_s +
-                            lookups / platform_.pe_lookup_ops_per_s;
-
+    // Phase 1 (PIM mode): the micro-kernel loop nest on every bank, one
+    // command per tile transfer or loop iteration of Eq. 6-10.
     const std::vector<std::pair<TxnCommandKind, std::vector<double>>>
         components = {
             {TxnCommandKind::LdIndex,
-             splitChunks(idx_loads, idx_mtile,
-                         platform_.pe_stream.at(idx_mtile), cap)},
-            {TxnCommandKind::LdLut, lut_cmds},
+             splitBusy(cost.t_ld_index, cost.index_loads)},
+            {TxnCommandKind::LdLut,
+             splitBusy(cost.t_ld_lut, cost.lut_chunks)},
             {TxnCommandKind::LdOutput,
-             splitChunks(out_loads, out_mtile,
-                         platform_.pe_stream.at(out_mtile), cap)},
+             splitBusy(cost.t_ld_output, cost.output_loads)},
             {TxnCommandKind::StOutput,
-             splitChunks(out_loads, out_mtile,
-                         platform_.pe_stream.at(out_mtile), cap)},
-            {TxnCommandKind::Reduce, splitBusy(reduce_s, iters, cap)},
+             splitBusy(cost.t_st_output, cost.output_loads)},
+            {TxnCommandKind::Reduce, splitBusy(cost.t_reduce, cost.iters)},
         };
     for (std::size_t bank = 0; bank < banks; ++bank)
         pushInterleaved(sim, sim.bankQueue(bank, 0), 1, components);
 
     // Phase 2 (memory mode): output gather.
     sim.pushAll(sim.linkQueue(), TxnCommandKind::Gather, 2,
-                splitChunks(pes, out_tile_bytes,
-                            platform_.host_gather.at(out_tile_bytes),
-                            cap));
+                splitBusy(cost.t_sub_output, pes));
 
     sim.switchBefore(1);
     sim.switchBefore(2);
@@ -517,9 +412,7 @@ TransactionBackend::simulateGemm(std::size_t n, std::size_t h,
 {
     const PimGemmProfile profile =
         analyticalPimGemmProfile(platform_, n, h, f, dtype, batch);
-    const std::size_t cap = config_.max_cmds_per_component;
-    const std::size_t banks = std::max<std::size_t>(
-        1, std::min(config_.max_sim_banks, platform_.num_pes));
+    const std::size_t banks = simBanks(platform_.num_pes);
 
     // Two lanes per bank: the MAC pipeline and the weight-stream DMA
     // overlap (the closed form's max(compute, stream)).
@@ -527,15 +420,12 @@ TransactionBackend::simulateGemm(std::size_t n, std::size_t h,
     sim.push(sim.linkQueue(), TxnCommandKind::Broadcast, 0,
              profile.transfer_in_s);
     sim.pushAll(sim.linkQueue(), TxnCommandKind::KernelLaunch, 0,
-                splitBusy(profile.cmd_overhead_s, static_cast<double>(n),
-                          cap));
+                splitBusy(profile.cmd_overhead_s, static_cast<double>(n)));
     for (std::size_t bank = 0; bank < banks; ++bank) {
         sim.pushAll(sim.bankQueue(bank, 0), TxnCommandKind::Compute, 1,
-                    splitBusy(profile.compute_s, static_cast<double>(n),
-                              cap));
+                    splitBusy(profile.compute_s, static_cast<double>(n)));
         sim.pushAll(sim.bankQueue(bank, 1), TxnCommandKind::Stream, 1,
-                    splitBusy(profile.stream_s, static_cast<double>(n),
-                              cap));
+                    splitBusy(profile.stream_s, static_cast<double>(n)));
     }
     sim.push(sim.linkQueue(), TxnCommandKind::Gather, 2,
              profile.transfer_out_s);
@@ -550,7 +440,6 @@ TransactionBackend::simulateTransferBurst(TransferDirection direction,
                                           double bytes) const
 {
     PIMDL_REQUIRE(bytes >= 0.0, "burst bytes must be non-negative");
-    const std::size_t cap = config_.max_cmds_per_component;
     const BandwidthCurve &curve =
         direction == TransferDirection::PimToHost
             ? platform_.host_gather
@@ -575,7 +464,7 @@ TransactionBackend::simulateTransferBurst(TransferDirection direction,
         const double chunks =
             std::max(1.0, std::ceil(bytes / chunk_bytes));
         sim.pushAll(sim.linkQueue(), kind, 0,
-                    splitBusy(bytes / curve.at(bytes), chunks, cap));
+                    splitBusy(bytes / curve.at(bytes), chunks));
     }
     return sim.run(config_.record_commands);
 }
@@ -584,17 +473,16 @@ TxnNodeReport
 TransactionBackend::simulateElementwise(double ew_ops,
                                         double ew_bytes) const
 {
-    const std::size_t cap = config_.max_cmds_per_component;
-    const std::size_t banks = std::max<std::size_t>(
-        1, std::min(config_.max_sim_banks, platform_.num_pes));
+    const std::size_t banks = simBanks(platform_.num_pes);
     TxnSim sim(config_, banks, 2);
+    const auto slices = static_cast<double>(kMaxCmdsPerComponent);
     const double compute_s = ew_ops / platform_.totalAddThroughput();
     const double stream_s = ew_bytes / platform_.totalStreamBandwidth();
     for (std::size_t bank = 0; bank < banks; ++bank) {
         sim.pushAll(sim.bankQueue(bank, 0), TxnCommandKind::Compute, 0,
-                    splitBusy(compute_s, static_cast<double>(cap), cap));
+                    splitBusy(compute_s, slices));
         sim.pushAll(sim.bankQueue(bank, 1), TxnCommandKind::Stream, 0,
-                    splitBusy(stream_s, static_cast<double>(cap), cap));
+                    splitBusy(stream_s, slices));
     }
     sim.switchBefore(0);
     sim.setTrailingSwitches(1);
@@ -605,13 +493,15 @@ LutCostBreakdown
 TransactionBackend::lutCost(const LutWorkloadShape &shape,
                             const LutMapping &mapping) const
 {
-    // Legality and traffic accounting are shared with the analytical
-    // model; only the timing fields come from the simulation.
+    // One Eq. 3-10 evaluation supplies legality, traffic and the
+    // components the simulation splits into commands; the timing
+    // fields are then re-read from the per-kind command sums.
     LutCostBreakdown cost = evaluateLutMapping(platform_, shape, mapping);
     if (!cost.legal)
         return cost;
 
-    const TxnNodeReport report = simulateLut(shape, mapping);
+    const TxnNodeReport report =
+        simulateLut(cost, mapping.totalPes(shape));
     cost.t_sub_index = report.linkKindSeconds(TxnCommandKind::Broadcast);
     cost.t_sub_lut = report.linkKindSeconds(TxnCommandKind::Scatter);
     cost.t_sub_output = report.linkKindSeconds(TxnCommandKind::Gather);
@@ -620,7 +510,6 @@ TransactionBackend::lutCost(const LutWorkloadShape &shape,
     cost.t_ld_output = report.bankKindSeconds(TxnCommandKind::LdOutput);
     cost.t_st_output = report.bankKindSeconds(TxnCommandKind::StOutput);
     cost.t_reduce = report.bankKindSeconds(TxnCommandKind::Reduce);
-    cost.kernel_launch = platform_.kernel_launch_overhead_s;
     // Park every simulated-only effect (refresh, arbitration, mode
     // switches, issue overhead, imperfect phase packing) in overhead_s
     // so total() reports the simulated makespan.
@@ -648,10 +537,10 @@ TransactionBackend::publishNodeMetrics(const char *node_kind,
     switches.add(report.mode_switches);
 
     // Trace-span budget guard: plan-heavy sweeps simulate thousands of
-    // nodes; only the first trace_span_budget node simulations emit a
+    // nodes; only the first kTraceSpanBudget node simulations emit a
     // span so the bounded trace ring keeps its earlier content useful.
     if (spans_emitted_.fetch_add(1, std::memory_order_relaxed) <
-        config_.trace_span_budget) {
+        kTraceSpanBudget) {
         obs::TraceSpan span("backend.txn.tick");
         span.attr("node", node_kind);
         span.attr("ticks", static_cast<std::uint64_t>(report.ticks));
@@ -673,14 +562,14 @@ TransactionBackend::costNode(const Plan &plan, const PlanNode &node) const
     case PlanOpKind::LutOp: {
         PIMDL_REQUIRE(node.mapping_attached,
                       "LutOp node costed before a mapping was attached");
-        std::string reason;
-        PIMDL_REQUIRE(mappingIsLegal(platform_, node.lut_shape,
-                                     node.mapping, &reason),
+        const LutCostBreakdown lut =
+            evaluateLutMapping(platform_, node.lut_shape, node.mapping);
+        PIMDL_REQUIRE(lut.legal,
                       "mapping illegal for workload " +
                           std::string(linearRoleName(node.role)) + ": " +
-                          reason);
+                          lut.illegal_reason);
         const TxnNodeReport report =
-            simulateLut(node.lut_shape, node.mapping);
+            simulateLut(lut, node.mapping.totalPes(node.lut_shape));
         publishNodeMetrics("lut", report);
         cost.seconds = report.seconds;
         break;

@@ -4,14 +4,16 @@
  * behind the TimingBackend interface (ISA/command framing of PIMSIM-NN
  * and LP5X-PIM Sim, PAPERS.md).
  *
- * Per plan node the backend generates an explicit command stream from
- * the same tile quantities the analytical model prices (cost_model.cc):
- * host-link broadcast/scatter/gather commands per PE payload, and
+ * Per plan node the backend splits the analytical model's component
+ * seconds into an explicit command stream: a LUT operator's Eq. 3-10
+ * components come from evaluateLutMapping (cost_model.h) and become
+ * host-link broadcast/scatter/gather commands per PE payload plus
  * per-bank micro-kernel commands (index/LUT/output tile loads, partial
- * stores, reduce slices) enqueued into representative bank FIFOs. A
- * ClockTick() event loop issues one command per tick onto the earliest
- * available resource, with barrier phases (broadcast -> kernel ->
- * gather) separated by PIM-mode/memory-mode switches.
+ * stores, reduce slices) in representative bank FIFOs; a PIM GEMM's
+ * come from analyticalPimGemmProfile. A ClockTick() event loop issues
+ * one command per tick onto the earliest available resource, with
+ * barrier phases (broadcast -> kernel -> gather) separated by
+ * PIM-mode/memory-mode switches.
  *
  * On top of the first-order transfer/compute timing — which matches the
  * closed form by construction — the simulator models what no closed
@@ -131,9 +133,14 @@ class TransactionBackend final : public TimingBackend
 
     // Node-level simulations, exposed for the unit tests (command
     // conservation, per-bank FIFO order, arbitration invariants).
-    /** @p shape/@p mapping must be legal (throws otherwise). */
-    TxnNodeReport simulateLut(const LutWorkloadShape &shape,
-                              const LutMapping &mapping) const;
+    /**
+     * Command-level run of one LUT operator on @p num_pes PEs whose
+     * Eq. 3-10 components are @p cost (an evaluateLutMapping result;
+     * throws when it is illegal). Each component is split at its own
+     * transfer/step count from @p cost.
+     */
+    TxnNodeReport simulateLut(const LutCostBreakdown &cost,
+                              std::size_t num_pes) const;
     TxnNodeReport simulateGemm(std::size_t n, std::size_t h, std::size_t f,
                                HostDtype dtype, std::size_t batch) const;
     TxnNodeReport simulateElementwise(double ew_ops,

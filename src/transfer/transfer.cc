@@ -58,13 +58,6 @@ burstSeconds(const PimPlatformConfig &platform, LinkPattern pattern,
 }
 
 double
-pieceSeconds(const PimPlatformConfig &platform, LinkPattern pattern,
-             double bytes)
-{
-    return burstSeconds(platform, pattern, bytes);
-}
-
-double
 BurstPlan::burstSeconds(const PimPlatformConfig &platform) const
 {
     double total = 0.0;
@@ -80,7 +73,8 @@ BurstPlan::flatSeconds(const PimPlatformConfig &platform) const
     double total = 0.0;
     for (const TransferBurst &burst : bursts)
         for (const BurstSlice &slice : burst.slices)
-            total += pieceSeconds(platform, burst.pattern, slice.bytes);
+            total += transfer::burstSeconds(platform, burst.pattern,
+                                            slice.bytes);
     return total;
 }
 

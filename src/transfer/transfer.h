@@ -116,19 +116,14 @@ struct BurstPlan
     /** Engine pricing: per burst, one setup + the whole payload at the
      * curve point of the burst size. */
     double burstSeconds(const PimPlatformConfig &platform) const;
-    /** Flat-payload baseline: every piece pays its own setup and rides
-     * the curve at its own (smaller) size. */
+    /** Flat-payload baseline: every piece is its own burst, paying its
+     * own setup and riding the curve at its own (smaller) size. */
     double flatSeconds(const PimPlatformConfig &platform) const;
 };
 
 /** Seconds for one coalesced burst of @p bytes: link setup + payload
  * at the bandwidth-curve point of the full burst. */
 double burstSeconds(const PimPlatformConfig &platform, LinkPattern pattern,
-                    double bytes);
-
-/** Seconds for one un-coalesced payload of @p bytes (same formula; the
- * baseline difference is that each piece pays it separately). */
-double pieceSeconds(const PimPlatformConfig &platform, LinkPattern pattern,
                     double bytes);
 
 /**

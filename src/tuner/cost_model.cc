@@ -220,14 +220,15 @@ evaluateLutMapping(const PimPlatformConfig &platform,
     const double tn = static_cast<double>(mapping.ns_tile) / mapping.nm_tile;
     const double tf = static_cast<double>(mapping.fs_tile) / mapping.fm_tile;
     const double tc = static_cast<double>(shape.cb) / mapping.cbm_tile;
-    const double iters = tn * tf * tc;
+    cost.iters = tn * tf * tc;
 
     // Index MTile: depends on (N, C).
     {
         const double mtile = static_cast<double>(mapping.nm_tile) *
                              mapping.cbm_tile * shape.index_dtype_bytes;
-        const double loads = reloadCount(mapping.order, true, false, true,
-                                         tn, tf, tc);
+        cost.index_loads = reloadCount(mapping.order, true, false, true,
+                                       tn, tf, tc);
+        const double loads = cost.index_loads;
         cost.t_ld_index = loads * mtile / platform.pe_stream.at(mtile);
         cost.pe_stream_bytes += loads * mtile;
     }
@@ -236,8 +237,9 @@ evaluateLutMapping(const PimPlatformConfig &platform,
     {
         const double mtile = static_cast<double>(mapping.nm_tile) *
                              mapping.fm_tile * 4.0;
-        const double loads = reloadCount(mapping.order, true, true, false,
-                                         tn, tf, tc);
+        cost.output_loads = reloadCount(mapping.order, true, true, false,
+                                        tn, tf, tc);
+        const double loads = cost.output_loads;
         cost.t_ld_output = loads * mtile / platform.pe_stream.at(mtile);
         cost.t_st_output = loads * mtile / platform.pe_stream.at(mtile);
         cost.pe_stream_bytes += 2.0 * loads * mtile;
@@ -251,6 +253,7 @@ evaluateLutMapping(const PimPlatformConfig &platform,
                              mapping.fs_tile * lut_dtype;
         // Streamed in buffer-sized chunks; effectively peak bandwidth.
         cost.t_ld_lut = bytes / platform.pe_stream.peak;
+        cost.lut_chunks = 1.0;
         cost.pe_stream_bytes += bytes;
         break;
       }
@@ -266,7 +269,8 @@ evaluateLutMapping(const PimPlatformConfig &platform,
                                        mapping.cb_load_tile) *
                                    shape.ct * mapping.f_load_tile *
                                    lut_dtype;
-        const double bytes = region_loads * chunks_per_region * chunk_bytes;
+        cost.lut_chunks = region_loads * chunks_per_region;
+        const double bytes = cost.lut_chunks * chunk_bytes;
         cost.t_ld_lut = bytes / platform.pe_stream.at(chunk_bytes);
         cost.pe_stream_bytes += bytes;
         break;
@@ -276,10 +280,10 @@ evaluateLutMapping(const PimPlatformConfig &platform,
         // row in f_load_tile chunks; hardware threads overlap requests.
         const double chunk_bytes =
             static_cast<double>(mapping.f_load_tile) * lut_dtype;
-        const double chunks =
-            iters * mapping.nm_tile * mapping.cbm_tile *
+        cost.lut_chunks =
+            cost.iters * mapping.nm_tile * mapping.cbm_tile *
             (static_cast<double>(mapping.fm_tile) / mapping.f_load_tile);
-        const double bytes = chunks * chunk_bytes;
+        const double bytes = cost.lut_chunks * chunk_bytes;
         const double eff_bw =
             std::min(platform.pe_stream.peak,
                      platform.pe_stream.at(chunk_bytes) *

@@ -38,6 +38,18 @@ struct LutCostBreakdown
     double kernel_launch = 0.0;
 
     /**
+     * Per-PE transfer/step counts behind the micro-kernel components:
+     * index MTile loads, LUT chunk loads, output MTile loads (each also
+     * stored back) and loop-nest iterations (reduce slices). The
+     * transaction backend splits each component into this many
+     * commands; the sub-LUT stage moves one payload per PE.
+     */
+    double index_loads = 0.0;
+    double lut_chunks = 0.0;
+    double output_loads = 0.0;
+    double iters = 0.0;
+
+    /**
      * Timing not captured by the closed-form components above. The
      * analytical model always leaves this zero; command-level timing
      * models (src/backend's TransactionBackend) park simulated effects
