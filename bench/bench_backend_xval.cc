@@ -9,13 +9,13 @@
  *   1. Per-phase error table: BERT-base (always; BERT-large and
  *      ViT-huge when not --smoke) end-to-end PIM-DL estimates under
  *      both backends, with CCS/LUT/attention/other/total relative
- *      errors. The mean error is CI-gated (< 10%, the committed bound
- *      in scripts/check_metrics.py).
+ *      errors. The mean error is CI-gated below the committed 10%
+ *      bound, published as the backend.xval.bound gauge.
  *   2. Arbitration sweep: transaction-simulated BERT-base latency as
  *      co-located host DRAM traffic intensity rises; latency must be
  *      monotone non-decreasing in the intensity.
  *   3. Serving smoke under both backends (threads the backend through
- *      BatchLatencyFn and populates the serving.* metrics schema).
+ *      BatchLatencyFn and publishes the serving.* metrics).
  *
  * `--json <path>` additionally writes the error table in
  * pimdl.bench.backend.v1 JSON. Exits non-zero when the error bound or

@@ -27,10 +27,6 @@
  * broken promise, a double resolution, a lost batch) as a hard
  * failure, not a statistic.
  *
- * Also runs the analytical BERT-base serving baseline so the metrics
- * artifact carries the full schema scripts/check_metrics.py gates on
- * (engine/tuner/serving keys plus serving.live.* and chaos.*).
- *
  * `--json [path]` writes BENCH_chaos.json (schema pimdl.bench.chaos.v1).
  */
 
@@ -47,7 +43,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/engine.h"
-#include "runtime/serving.h"
 #include "runtime/serving_live.h"
 
 using namespace pimdl;
@@ -197,29 +192,6 @@ main(int argc, char **argv)
         requests = opts.smoke ? 64 : 256;
     if (levels == 0)
         levels = opts.smoke ? 3 : 5;
-
-    // ---------------------------------------------------------------
-    // Analytical baseline (populates the base metrics schema).
-    // ---------------------------------------------------------------
-    printBanner(std::cout,
-                "Analytical baseline: BERT-base serving on UPMEM");
-    PimDlEngine engine(upmemPlatform(), xeon4210Dual());
-    ServingSimulator bert_sim(engine, bertBase(), LutNnParams{4, 16});
-    ServingConfig bert_cfg;
-    bert_cfg.max_batch = 32;
-    bert_cfg.max_wait_s = 0.25;
-    bert_cfg.horizon_s = opts.smoke ? 10.0 : 30.0;
-    const double bert_latency =
-        bert_sim.batchLatency(bert_cfg.max_batch, bert_cfg.policy);
-    bert_cfg.arrival_rate =
-        0.6 * static_cast<double>(bert_cfg.max_batch) / bert_latency;
-    const ServingStats bert_stats = bert_sim.simulate(bert_cfg);
-    std::cout << "BERT-base analytical: " << bert_stats.requests
-              << " requests, p99 "
-              << TablePrinter::fmt(bert_stats.p99_latency_s, 3)
-              << " s, throughput "
-              << TablePrinter::fmt(bert_stats.throughput_rps, 1)
-              << " rps\n";
 
     // ---------------------------------------------------------------
     // Executable proxy model, PimLut primary -> HostLut fallback.

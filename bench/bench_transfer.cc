@@ -14,8 +14,7 @@
  *  5. An executable staging demo through runDistributedLut: double-
  *     buffered wave broadcast, residency hits, and a faulted round
  *     that exercises the per-burst stall/corrupt draws.
- *  6. A serving-simulator baseline (populates the base metrics schema).
- *  7. Fig. 11-style end-to-end breakdown: analytical per-tile transfer
+ *  6. Fig. 11-style end-to-end breakdown: analytical per-tile transfer
  *     pricing vs the engine overlay (coalescing + residency + wave
  *     overlap); the bench fails unless the end-to-end speedup reaches
  *     1.3x on BERT-base batch 8.
@@ -44,7 +43,6 @@
 #include "plan/lowering.h"
 #include "runtime/engine.h"
 #include "runtime/lut_executor.h"
-#include "runtime/serving.h"
 #include "transfer/resident.h"
 #include "transfer/scheduler.h"
 #include "transfer/transfer.h"
@@ -409,28 +407,7 @@ main(int argc, char **argv)
               << TablePrinter::fmt(fault_clock.now(), 1) << " s).\n";
 
     // ---------------------------------------------------------------
-    // 6. Serving-simulator baseline (base metrics schema).
-    // ---------------------------------------------------------------
-    printBanner(std::cout,
-                "Serving baseline: BERT-base on UPMEM (analytical)");
-    PimDlEngine engine(upmem, xeon4210Dual(), opts.backend);
-    ServingSimulator sim(engine, bertBase(), v4);
-    ServingConfig serve_cfg;
-    serve_cfg.max_batch = 32;
-    serve_cfg.max_wait_s = 0.25;
-    serve_cfg.horizon_s = opts.smoke ? 10.0 : 30.0;
-    serve_cfg.arrival_rate =
-        0.6 * static_cast<double>(serve_cfg.max_batch) /
-        sim.batchLatency(serve_cfg.max_batch, serve_cfg.policy);
-    const ServingStats serve_stats = sim.simulate(serve_cfg);
-    std::cout << serve_stats.requests << " requests, p99 "
-              << TablePrinter::fmt(serve_stats.p99_latency_s, 3)
-              << " s, throughput "
-              << TablePrinter::fmt(serve_stats.throughput_rps, 1)
-              << " rps.\n";
-
-    // ---------------------------------------------------------------
-    // 7. End-to-end: analytical per-tile transfers vs the engine.
+    // 6. End-to-end: analytical per-tile transfers vs the engine.
     // ---------------------------------------------------------------
     printBanner(std::cout,
                 "End-to-end (fig. 11 style): BERT-base batch 8, flat "

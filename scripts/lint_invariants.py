@@ -1,21 +1,10 @@
 #!/usr/bin/env python3
 """Cross-layer invariant lints the compiler cannot check.
 
-Three families of repo-wide invariants live in conventions that span
-languages, so neither the C++ toolchain nor a Python unit test sees a
-violation:
+Two families of repo-wide invariants live in conventions that span
+files, so neither the C++ toolchain nor a unit test sees a violation:
 
-1. Metric-name drift. scripts/check_metrics.py enforces a required-key
-   schema over the --metrics-out snapshots; the names themselves are
-   string literals inside C++ publish calls. This lint extracts every
-   metric name the C++ tree publishes (plus a small, explicitly listed
-   set of dynamically concatenated producers) and diffs it against
-   `check_metrics.py --dump-schema`, failing on BOTH directions of
-   drift: a schema key no C++ publishes (the gate can never pass) and
-   a published name under a schema-gated prefix that the schema does
-   not list (the gate silently stops covering it).
-
-2. Fault/chaos draw-stream collisions. Every deterministic draw is a
+1. Fault/chaos draw-stream collisions. Every deterministic draw is a
    counter-based hash keyed by a `k*Stream*` integer constant; two
    constants with the same value silently correlate two supposedly
    independent fault processes. All stream constants in src/ must be
@@ -24,7 +13,7 @@ violation:
    201-299, transfer engine 301-399), so new subsystems claim a block
    instead of squatting on the next free integer.
 
-3. Raw synchronization primitives. std::mutex / std::lock_guard hide
+2. Raw synchronization primitives. std::mutex / std::lock_guard hide
    from both Clang's -Wthread-safety analysis and the runtime
    lock-order tracker (src/analysis/lockorder.h), and raw
    std::this_thread::sleep_for breaks ManualClock determinism. All
@@ -37,53 +26,11 @@ Usage: lint_invariants.py            # lint the tree, exit 1 on drift
        lint_invariants.py --self-test  # prove each check still fires
 """
 
-import json
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-# Directories scanned for metric literals and stream constants.
-CPP_SCAN_DIRS = ["src", "bench"]
-
-# Metric names built by concatenation at runtime: the literal extractor
-# cannot see them, so each is declared here with the file that must
-# still contain its producing fragment. `covers_gauge_patterns` lists
-# the schema gauge_patterns the producer satisfies; the lint fails if
-# the fragment disappears while the schema still requires the names.
-DYNAMIC_PRODUCERS = [
-    {
-        "pattern": r"engine\.role\..+\.(ccs_s|lut_s)",
-        "file": "src/runtime/engine.cc",
-        "fragment": '"engine.role."',
-        "covers_gauge_patterns": [
-            r"engine\.role\..+\.ccs_s",
-            r"engine\.role\..+\.lut_s",
-        ],
-    },
-    {
-        "pattern": r"serving\.live\.breaker\.(state|opens|closes|probes)",
-        "file": "src/runtime/resilience.cc",
-        "fragment": 'metric_prefix + ".',
-        "covers_gauge_patterns": [],
-    },
-]
-
-# A published name under one of these prefixes is part of a schema-
-# gated family: check_metrics.py makes promises about it, so it must
-# appear in the dumped schema. Names outside (bench-local kernels.*,
-# internal lut.*, ...) may stay schema-free.
-SCHEMA_GATED_PREFIXES = [
-    "analysis.",
-    "backend.",
-    "chaos.",
-    "fault.",
-    "serving.live.",
-    "transfer.",
-    "verify.",
-]
 
 # Draw-stream id registry: (path prefix, lo, hi) — every k*Stream*
 # constant must fall in the inclusive range its defining file's first
@@ -112,7 +59,6 @@ RAW_PRIMITIVE_PATTERNS = [
     ),
 ]
 
-METRIC_CALL_RE = re.compile(r"\b(?:counter|gauge|histogram)\(\s*\"([^\"]+)\"")
 STREAM_CONST_RE = re.compile(r"\b(k\w*Stream\w*)\s*=\s*(\d+)")
 
 
@@ -125,119 +71,10 @@ def cpp_files(dirs):
 
 def strip_comments(text):
     """Drops // and /* */ comments so prose mentioning a banned token
-    (or a metric name) is not flagged. String literals containing
-    comment markers do not occur in this tree's sync/metric code."""
+    is not flagged. String literals containing comment markers do not
+    occur in this tree's sync code."""
     text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
     return re.sub(r"//[^\n]*", "", text)
-
-
-def extract_metric_literals(dirs=CPP_SCAN_DIRS):
-    """All metric-name string literals passed to counter()/gauge()/
-    histogram() in the C++ tree. A literal ending in '.' is a
-    concatenation prefix (dynamic producer), tracked separately."""
-    literals = set()
-    prefixes = set()
-    for path in cpp_files(dirs):
-        for name in METRIC_CALL_RE.findall(
-            strip_comments(path.read_text())
-        ):
-            (prefixes if name.endswith(".") else literals).add(name)
-    return literals, prefixes
-
-
-def load_schema():
-    out = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts/check_metrics.py"),
-         "--dump-schema"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(out.stdout)
-
-
-def schema_names(schema):
-    """Flat (names, gauge_patterns) across every schema mode."""
-    names = set()
-    patterns = set()
-    for mode in schema["modes"].values():
-        names.update(mode["counters"])
-        names.update(mode["gauges"])
-        names.update(mode["histograms"])
-        patterns.update(mode["gauge_patterns"])
-    return names, patterns
-
-
-def check_schema_to_cpp(schema, literals):
-    """Direction 1: every key the schema requires must still have a
-    producer in the C++ tree, literal or declared-dynamic."""
-    violations = []
-    names, patterns = schema_names(schema)
-    dynamic = [
-        (entry, re.compile(entry["pattern"]))
-        for entry in DYNAMIC_PRODUCERS
-    ]
-
-    for entry, _ in dynamic:
-        producer = REPO_ROOT / entry["file"]
-        if not producer.is_file() or entry[
-            "fragment"
-        ] not in producer.read_text():
-            violations.append(
-                f"dynamic metric producer for {entry['pattern']!r} "
-                f"vanished: {entry['file']} no longer contains "
-                f"{entry['fragment']!r}"
-            )
-
-    for name in sorted(names):
-        if name in literals:
-            continue
-        if any(rx.fullmatch(name) for _, rx in dynamic):
-            continue
-        violations.append(
-            f"schema requires metric {name!r} but no C++ publish call "
-            "produces it (check_metrics.py can never pass)"
-        )
-
-    covered = {
-        pattern
-        for entry in DYNAMIC_PRODUCERS
-        for pattern in entry["covers_gauge_patterns"]
-    }
-    for pattern in sorted(patterns):
-        rx = re.compile(pattern)
-        if any(rx.fullmatch(name) for name in literals):
-            continue
-        if pattern in covered:
-            continue
-        violations.append(
-            f"schema gauge pattern {pattern!r} matches no published "
-            "literal and no declared dynamic producer covers it"
-        )
-    return violations
-
-
-def check_cpp_to_schema(schema, literals):
-    """Direction 2: every published name under a schema-gated prefix
-    must be listed in the schema, or the gate silently narrows."""
-    violations = []
-    names, patterns = schema_names(schema)
-    pattern_rx = [re.compile(p) for p in patterns]
-    for name in sorted(literals):
-        if not any(
-            name.startswith(prefix) for prefix in SCHEMA_GATED_PREFIXES
-        ):
-            continue
-        if name in names:
-            continue
-        if any(rx.fullmatch(name) for rx in pattern_rx):
-            continue
-        violations.append(
-            f"C++ publishes metric {name!r} under a schema-gated "
-            "prefix but check_metrics.py does not require it "
-            "(--dump-schema drift)"
-        )
-    return violations
 
 
 def collect_stream_constants(dirs=("src",)):
@@ -330,35 +167,6 @@ def self_test():
     and stay quiet on the clean fixture."""
     failures = []
 
-    schema = {
-        "modes": {
-            "base": {
-                "counters": ["real.counter"],
-                "gauges": [],
-                "gauge_patterns": [],
-                "histograms": [],
-            }
-        }
-    }
-    ghost = dict(schema)
-    ghost["modes"] = {
-        "base": dict(
-            schema["modes"]["base"],
-            counters=["real.counter", "lint.selftest.ghost"],
-        )
-    }
-    if not check_schema_to_cpp(ghost, {"real.counter"}):
-        failures.append("schema->C++ drift not detected")
-    if check_schema_to_cpp(schema, {"real.counter"}):
-        failures.append("schema->C++ false positive on clean fixture")
-
-    if not check_cpp_to_schema(
-        schema, {"real.counter", "fault.selftest.unlisted"}
-    ):
-        failures.append("C++->schema drift not detected")
-    if check_cpp_to_schema(schema, {"real.counter"}):
-        failures.append("C++->schema false positive on clean fixture")
-
     ranges = [("src/a/", 1, 99), ("src/b/", 100, 199)]
     colliding = [
         ("src/a/a.cc:1", "kStreamOne", 7),
@@ -409,21 +217,8 @@ def main():
         print(f"usage: {sys.argv[0]} [--self-test]", file=sys.stderr)
         sys.exit(2)
 
-    schema = load_schema()
-    literals, prefixes = extract_metric_literals()
-    declared = {entry["fragment"].strip('"') for entry in
-                DYNAMIC_PRODUCERS if entry["fragment"].startswith('"')}
-    violations = []
-    for prefix in sorted(prefixes - declared):
-        violations.append(
-            f"metric publish call concatenates onto literal prefix "
-            f"{prefix!r} but no DYNAMIC_PRODUCERS entry declares it"
-        )
-    violations += check_schema_to_cpp(schema, literals)
-    violations += check_cpp_to_schema(schema, literals)
     constants = collect_stream_constants()
-    violations += check_stream_ids(constants)
-    violations += check_raw_primitives()
+    violations = check_stream_ids(constants) + check_raw_primitives()
 
     if violations:
         for violation in violations:
@@ -433,12 +228,9 @@ def main():
               file=sys.stderr)
         sys.exit(1)
 
-    names, patterns = schema_names(schema)
     print(
         "lint_invariants: OK "
-        f"({len(literals)} published metric names, "
-        f"{len(names)} schema keys + {len(patterns)} patterns, "
-        f"{len(constants)} draw-stream ids, raw-primitive ban clean)"
+        f"({len(constants)} draw-stream ids, raw-primitive ban clean)"
     )
 
 

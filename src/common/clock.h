@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <thread>
 
@@ -93,12 +94,15 @@ class ManualClock final : public Clock
 
     bool isVirtual() const override { return true; }
 
-    /** Moves time forward by @p seconds (non-negative). */
+    /**
+     * Moves time forward by @p seconds (non-negative), rounded to the
+     * nearest whole ns (truncating could land up to 1 ns short).
+     */
     void
     advance(double seconds)
     {
         if (seconds > 0.0)
-            ns_.fetch_add(static_cast<std::int64_t>(seconds * 1e9),
+            ns_.fetch_add(std::llround(seconds * 1e9),
                           std::memory_order_acq_rel);
     }
 

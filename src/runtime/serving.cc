@@ -114,9 +114,9 @@ simulateServingTrace(const ServingConfig &config,
     static obs::Histogram &h_batch = reg.histogram("serving.batch_size");
     static obs::Histogram &h_queue = reg.histogram("serving.queue_depth");
     static obs::Gauge &g_util = reg.gauge("serving.utilization");
-    // Fault-schema metrics are registered unconditionally so the
-    // snapshot artifact carries stable fault.* keys even for fault-free
-    // runs (check_metrics.py validates their presence).
+    // The fault.serving.* metrics are registered unconditionally, so
+    // a fault-free run still publishes its (zero) availability
+    // accounting.
     static obs::Counter &c_f_retries =
         reg.counter("fault.serving.batch_retries");
     static obs::Counter &c_f_failed_batches =

@@ -21,6 +21,14 @@ namespace {
  */
 constexpr double kVirtualPollSliceS = 200e-6;
 
+/**
+ * Remaining max-wait at or below which a forming batch flushes. The
+ * remaining wait is a difference of seconds-as-doubles, so a clock
+ * advanced by exactly max_wait_s can leave it a rounding error above
+ * zero; the serving simulator uses the same 1 ns tolerance.
+ */
+constexpr double kMaxWaitEpsS = 1e-9;
+
 /** EWMA weight of the newest served batch latency. */
 constexpr double kServiceEwmaAlpha = 0.2;
 
@@ -281,7 +289,7 @@ LiveServingRuntime::batcherLoop()
             const double waited =
                 clock_->now() - task.requests.front()->enqueue_s;
             const double remaining = config_.max_wait_s - waited;
-            if (remaining <= 0.0)
+            if (remaining <= kMaxWaitEpsS)
                 break;
             std::unique_ptr<PendingRequest> next;
             const double slice =

@@ -783,12 +783,9 @@ TEST_P(ChaosStorm, EveryRequestResolvesExactlyOnce)
             if (f.has_value())
                 futures.push_back(std::move(*f));
         }
-        // Virtual max-wait never elapses on its own: advance past it
-        // so a partial batch (AIMD rejected part of the wave) flushes.
-        // Twice over, because an advance of exactly max_wait_s can
-        // land a rounding error short of it in the batcher's
-        // seconds-as-double arithmetic.
-        clock.advance(2.0 * cfg.max_wait_s);
+        // Virtual max-wait never elapses on its own: advance by it so
+        // a partial batch (AIMD rejected part of the wave) flushes.
+        clock.advance(cfg.max_wait_s);
         for (std::size_t i = first; i < futures.size(); ++i)
             futures[i].wait();
     }

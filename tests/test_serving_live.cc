@@ -319,6 +319,37 @@ TEST(ServingLive, MaxWaitFlushesPartialBatch)
     EXPECT_EQ(runtime.stats().batches, 1u);
 }
 
+TEST(ServingLive, AdvanceOfExactlyMaxWaitFlushesAtAnyEnqueueTime)
+{
+    // In seconds-as-doubles, max_wait_s - (now - enqueue_s) lands a
+    // rounding error above zero for some enqueue times; with 2 ms and
+    // 1 us steps the first such time is the 4th request's.
+    ManualClock clock;
+    StubExecutor executor(&clock, 0.0);
+    LiveServingConfig cfg;
+    cfg.max_batch = 8;
+    cfg.max_wait_s = 2e-3;
+    LiveServingRuntime runtime(cfg, executor, &clock);
+
+    constexpr std::size_t kOffsets = 64;
+    for (std::size_t k = 0; k < kOffsets; ++k) {
+        auto f = runtime.submit(requestTensor(2, 4, k));
+        ASSERT_TRUE(f.has_value());
+        awaitQueueDrained(runtime);
+        clock.advance(cfg.max_wait_s);
+        // Real-time bound only so a regression fails instead of
+        // hanging; a flush takes one 200 us poll slice.
+        ASSERT_EQ(f->wait_for(std::chrono::seconds(5)),
+                  std::future_status::ready)
+            << "partial batch enqueued at request " << k
+            << " never flushed after advance(max_wait_s)";
+        EXPECT_EQ(f->get().status, LiveRequestStatus::Completed);
+        clock.advance(1e-6);
+    }
+    runtime.drain();
+    EXPECT_EQ(runtime.stats().batches, kOffsets);
+}
+
 TEST(ServingLive, ShedsPastDeadlineAtDispatch)
 {
     ManualClock clock;
