@@ -106,7 +106,7 @@ main(int argc, char **argv)
         Plan plan = lowerTransformer(model, v4, ExecutionMode::PimDl,
                                      lower_opts);
         const transfer::BurstPlan bp =
-            transfer::planTransferBursts(plan, upmem);
+            transfer::planTransferBursts(plan);
         const double flat_s = bp.flatSeconds(upmem);
         const double coal_s = bp.burstSeconds(upmem);
         std::size_t pieces = 0;

@@ -199,24 +199,20 @@ main(int argc, char **argv)
 
     LoweringOptions lower_opts;
     lower_opts.platform = &upmem;
-    Plan flat_plan =
-        lowerTransformer(model, v4, ExecutionMode::PimDl, lower_opts);
     Plan coal_plan =
         lowerTransformer(model, v4, ExecutionMode::PimDl, lower_opts);
-
-    transfer::TransferPolicy flat_policy;
-    flat_policy.coalesce_lut_staging = false;
-    const transfer::BurstPlan flat =
-        transfer::planTransferBursts(flat_plan, upmem, flat_policy);
     const transfer::BurstPlan coal =
-        transfer::planTransferBursts(coal_plan, upmem);
+        transfer::planTransferBursts(coal_plan);
 
-    const double flat_s = flat.flatSeconds(upmem);
+    // The flat baseline is the same payloads with every merged piece
+    // back in its own burst.
+    const double flat_s = coal.flatSeconds(upmem);
     const double coal_s = coal.burstSeconds(upmem);
     TablePrinter form({"Formation", "Bursts", "Merged pieces",
                        "Payload MB", "Link s", "Speedup"});
-    form.addRow({"flat (per payload)", std::to_string(flat.bursts.size()),
-                 "0", TablePrinter::fmt(flat.total_bytes / 1e6, 1),
+    form.addRow({"flat (per payload)",
+                 std::to_string(coal.bursts.size() + coal.merged_pieces),
+                 "0", TablePrinter::fmt(coal.total_bytes / 1e6, 1),
                  TablePrinter::fmt(flat_s, 4), "1.00x"});
     form.addRow({"coalesced", std::to_string(coal.bursts.size()),
                  std::to_string(coal.merged_pieces),
@@ -337,7 +333,6 @@ main(int argc, char **argv)
     ctx.scheduler = &demo_scheduler;
     ctx.resident = &demo_resident;
     ctx.resident_key = 1;
-    ctx.stage_waves = 4;
 
     const DistributedLutResult cold = runDistributedLut(
         upmem, layer, idx, demo_mapping, false, nullptr, {}, &ctx);
@@ -442,8 +437,7 @@ main(int argc, char **argv)
     // steady-state residency on the staging subset (trace hit rate),
     // and the executor's wave overlap hiding index broadcast behind
     // PE compute ((waves-1)/waves of the smaller of the two).
-    const double waves =
-        static_cast<double>(LutTransferContext{}.stage_waves);
+    const double waves = static_cast<double>(kStageWaves);
     const double resident_saved_s = hit_rate * staging_s;
     const double hidden_s =
         (waves - 1.0) / waves * std::min(bcast_s, micro_s);

@@ -215,7 +215,6 @@ FunctionalTransformer::forward(const Tensor &tokens, std::size_t seq_len,
                 ctx.resident_key =
                     (static_cast<std::uint64_t>(node.layer) << 2) |
                     static_cast<std::uint64_t>(roleIndex(node.role));
-                ctx.stage_waves = stage_waves_;
                 const bool engine = transfer_scheduler_ != nullptr ||
                                     resident_luts_ != nullptr;
                 const DistributedLutResult result = runDistributedLut(
@@ -359,12 +358,10 @@ FunctionalTransformer::planPimExecution(const PimPlatformConfig &platform,
 void
 FunctionalTransformer::enableTransferEngine(
     transfer::TransferScheduler *scheduler,
-    transfer::ResidentLutManager *resident, std::size_t stage_waves)
+    transfer::ResidentLutManager *resident)
 {
-    PIMDL_REQUIRE(stage_waves > 0, "stage_waves must be positive");
     transfer_scheduler_ = scheduler;
     resident_luts_ = resident;
-    stage_waves_ = stage_waves;
 }
 
 TransferReport

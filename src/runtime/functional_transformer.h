@@ -103,14 +103,14 @@ class FunctionalTransformer
 
     /**
      * Routes PimLut host->PIM movement through the transfer engine:
-     * double-buffered index waves via @p scheduler and resident-LUT
-     * placement via @p resident (either may be nullptr to disable that
-     * half). Each (layer, role) LUT table gets a stable resident key.
-     * Call after planPimExecution; pass nullptrs to detach.
+     * kStageWaves double-buffered index waves via @p scheduler and
+     * resident-LUT placement via @p resident (either may be nullptr to
+     * disable that half). Each (layer, role) LUT table gets a stable
+     * resident key. Call after planPimExecution; pass nullptrs to
+     * detach.
      */
     void enableTransferEngine(transfer::TransferScheduler *scheduler,
-                              transfer::ResidentLutManager *resident,
-                              std::size_t stage_waves = 4);
+                              transfer::ResidentLutManager *resident);
 
     /** Aggregated transfer-engine outcome of the last forward(). */
     TransferReport lastTransferReport() const;
@@ -136,7 +136,6 @@ class FunctionalTransformer
     /** Transfer engine hookup (set by enableTransferEngine). */
     transfer::TransferScheduler *transfer_scheduler_ = nullptr;
     transfer::ResidentLutManager *resident_luts_ = nullptr;
-    std::size_t stage_waves_ = 4;
     /** Guards the per-forward accumulators: serving workers may run
      * forward() concurrently on one shared transformer. */
     mutable Mutex transfer_mu_{"runtime.transformer.transfer"};

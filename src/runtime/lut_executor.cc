@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "common/parallel.h"
 #include "kernels/kernels.h"
@@ -108,58 +109,61 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
 
     result.output = Tensor(shape.n, shape.f);
     Tensor &out = result.output;
+    const std::size_t tiles = groups * lanes;
+    const std::size_t elem =
+        quantized ? sizeof(std::int8_t) : sizeof(float);
 
-    // The bit-faithful reduction of one (ns_tile x fs_tile) tile for
-    // group g / lane l, written row-major into dst with the given
-    // stride. The dispatched micro-kernels guarantee the operation
+    // The bit-faithful reduction of @p nrows index rows of one group
+    // (row-major from idx0, stride indices.cols) against lane l's LUT
+    // columns, written row-major into dst with the given stride. The
+    // index base is a parameter so the same kernel loop runs against
+    // the host tensor or a wave's staged copy — identical u16 values
+    // either way. The dispatched micro-kernels guarantee the operation
     // order is identical no matter which PE — or the host — executes
-    // the tile, and no matter which ISA variant runs it, which is
-    // what keeps degraded-mode and fallback outputs bit-exact.
+    // the rows, and no matter which ISA variant runs them, which is what
+    // keeps staged, degraded-mode and fallback outputs bit-exact.
+    // @p acc holds fs_tile INT32 accumulators (quantized runs only).
     const kernels::KernelTable &kt = kernels::best();
-    kernels::recordLutWork(shape.n, cb, mapping.fs_tile,
-                           quantized ? sizeof(std::int8_t)
-                                     : sizeof(float));
-    // Reduces @p nrows index rows starting at idx0 (stride idx_stride)
-    // against lane l's LUT columns. The index base is a parameter so
-    // the same kernel loop runs against the host tensor directly or
-    // against a wave's staged copy — identical u16 values either way,
-    // which is what makes the staged path bit-exact.
+    kernels::recordLutWork(shape.n, cb, mapping.fs_tile, elem);
     const auto computeRows = [&](const std::uint16_t *idx0,
-                                 std::size_t idx_stride,
                                  std::size_t nrows, float *dst,
-                                 std::size_t stride, std::size_t l) {
+                                 std::size_t stride, std::size_t l,
+                                 std::int32_t *acc) {
         const std::size_t col0 = l * mapping.fs_tile;
         if (quantized) {
             // INT8 LUT entries, INT32 on-PE accumulators; the host
             // dequantizes after gathering.
             const float scale = layer.quantScale();
-            std::vector<std::int32_t> acc(mapping.fs_tile);
             for (std::size_t r = 0; r < nrows; ++r) {
-                kt.lut_accum_i8(idx0 + r * idx_stride, cb, shape.ct,
+                kt.lut_accum_i8(idx0 + r * indices.cols, cb, shape.ct,
                                 layer.quantLutData(), shape.f, col0,
-                                mapping.fs_tile, acc.data());
+                                mapping.fs_tile, acc);
                 float *row = dst + r * stride;
                 for (std::size_t fcol = 0; fcol < mapping.fs_tile; ++fcol)
                     row[fcol] = static_cast<float>(acc[fcol]) * scale;
             }
         } else {
             for (std::size_t r = 0; r < nrows; ++r) {
-                kt.lut_accum_f32(idx0 + r * idx_stride, cb, shape.ct,
+                kt.lut_accum_f32(idx0 + r * indices.cols, cb, shape.ct,
                                  layer.lutData(), shape.f, col0,
                                  mapping.fs_tile, dst + r * stride);
             }
         }
     };
 
-    const auto computeTile = [&](float *dst, std::size_t stride,
-                                 std::size_t g, std::size_t l) {
-        computeRows(indices.data.data() +
-                        g * mapping.ns_tile * indices.cols,
-                    indices.cols, mapping.ns_tile, dst, stride, l);
-    };
-
-    const auto outTilePtr = [&](std::size_t g, std::size_t l) {
-        return out.rowPtr(g * mapping.ns_tile) + l * mapping.fs_tile;
+    // Folds one staged burst's pricing and fault outcome into the
+    // transfer report, then frees its buffer.
+    const auto finishBurst = [&](transfer::StagingChannel &chan,
+                                 std::size_t ticket, std::size_t bytes,
+                                 double model_s) {
+        const transfer::StagedBurstReport br = chan.report(ticket);
+        chan.release(ticket);
+        ++result.transfer.bursts;
+        result.transfer.staged_bytes += static_cast<double>(bytes);
+        result.transfer.transfer_model_s += model_s;
+        result.transfer.stalls += br.stalls;
+        result.transfer.corrupt_retries += br.corrupt_retries;
+        result.transfer.burst_added_s += br.added_seconds;
     };
 
     // ---- Transfer engine: resident-LUT placement -------------------
@@ -188,8 +192,6 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
         if (!hit && engine_on) {
             // Scatter-stage the table: each lane's fs_tile columns
             // land contiguously, the layout its WRAM kernel consumes.
-            const std::size_t elem =
-                quantized ? sizeof(std::int8_t) : sizeof(float);
             const std::size_t lut_rows = shape.cb * shape.ct;
             const void *table =
                 quantized ? static_cast<const void *>(layer.quantLutData())
@@ -199,264 +201,229 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
             transfer::StageRequest req;
             req.bytes = lut_rows * shape.f * elem;
             req.modeled_seconds = result.cost.t_sub_lut;
-            req.fill = [&, table, lut_rows, elem](std::uint8_t *dst,
-                                                  std::size_t) {
+            req.fill = [&, table, lut_rows](std::uint8_t *dst,
+                                            std::size_t) {
                 transfer::packColumnTiles(table, lut_rows, shape.f,
                                           mapping.fs_tile, elem, dst);
             };
             const std::size_t ticket = lut_chan->stage(std::move(req));
             lut_chan->wait(ticket);
-            const transfer::StagedBurstReport br =
-                lut_chan->report(ticket);
-            lut_chan->release(ticket);
-            ++result.transfer.bursts;
-            result.transfer.staged_bytes +=
-                static_cast<double>(lut_rows * shape.f * elem);
-            result.transfer.transfer_model_s += result.cost.t_sub_lut;
-            result.transfer.stalls += br.stalls;
-            result.transfer.corrupt_retries += br.corrupt_retries;
-            result.transfer.burst_added_s += br.added_seconds;
+            finishBurst(*lut_chan, ticket, lut_rows * shape.f * elem,
+                        result.cost.t_sub_lut);
         }
     }
 
-    if (faults == nullptr && engine_on) {
-        // ---- Transfer engine: double-buffered wave broadcast -------
-        // The index broadcast is split into stage_waves row chunks;
-        // wave w's staged fill runs on the transfer thread while the
-        // lock-step PEs reduce wave w-1, so all but the first wave's
-        // transfer hides behind compute (up to the shorter of the two
-        // per-wave times — the classic double-buffer bound).
-        const std::size_t waves = std::max<std::size_t>(
-            1, std::min(transfer_ctx->stage_waves, mapping.ns_tile));
-        const std::size_t rpw = (mapping.ns_tile + waves - 1) / waves;
-        const auto waveRow0 = [&](std::size_t w) { return w * rpw; };
-        const auto waveRows = [&](std::size_t w) {
-            return std::min(rpw, mapping.ns_tile - waveRow0(w));
-        };
-        const double micro_s = result.cost.microKernelTotal();
-        const double ns_total = static_cast<double>(mapping.ns_tile);
+    // ---- Fault ladder, stage 1: dead PEs -----------------------------
+    // Find the permanently dead PEs in this mapping's pool and, if any,
+    // re-schedule their tiles onto the survivors (degraded mode). No
+    // survivors at all => the engine abandons the PIM and the host
+    // serves the operator: every tile is escalated.
+    std::vector<TileOutcome> outcomes(faults != nullptr ? tiles : 0);
+    DegradedLutRemap remap;
+    bool host_fallback = false;
+    std::uint64_t epoch = 0;
+    if (faults != nullptr) {
+        std::vector<bool> failed(tiles);
+        for (std::size_t pe = 0; pe < tiles; ++pe) {
+            failed[pe] = faults->peHardFailed(pe);
+            result.fault.hard_failed_pes += failed[pe] ? 1 : 0;
+        }
+        if (result.fault.hard_failed_pes > 0) {
+            reg.counter("fault.lut.dead_pes")
+                .add(result.fault.hard_failed_pes);
+            remap = planDegradedLutRemap(shape, mapping, failed);
+            if (!remap.legal) {
+                host_fallback = true;
+            } else {
+                result.fault.degraded_waves = remap.waves;
+                if (verify::verifyPlansEnabled()) {
+                    verify::requireClean(
+                        verify::verifyDegradedRemap(shape, mapping, failed,
+                                                    remap),
+                        "degraded remap verification");
+                }
+            }
+        }
+        // One epoch per kernel launch: consecutive executions see fresh
+        // (but still seed-deterministic) draws.
+        if (!host_fallback)
+            epoch = faults->nextEpoch();
+    }
+    // Modeled cost of re-running one PE kernel attempt.
+    const double attempt_cost =
+        result.cost.microKernelTotal() + result.cost.kernel_launch;
 
-        auto chan = transfer_ctx->scheduler->openChannel(
-            "transfer.lut.indices");
-        const auto stageWave = [&](std::size_t w) {
-            const std::size_t nrows = waveRows(w);
-            transfer::StageRequest req;
-            req.bytes =
-                groups * nrows * indices.cols * sizeof(std::uint16_t);
-            req.modeled_seconds = result.cost.t_sub_index *
-                                  static_cast<double>(nrows) / ns_total;
-            req.fill = [&, w, nrows](std::uint8_t *dst, std::size_t) {
-                transfer::packWaveRows(indices.data.data(), groups,
-                                       mapping.ns_tile, waveRow0(w),
-                                       nrows, indices.cols,
-                                       sizeof(std::uint16_t), dst);
-            };
-            return chan->stage(std::move(req));
-        };
+    // Runs one (group, lane) tile over @p nrows index rows at idx0 into
+    // its output rows from row0. Fault-free, the PE reduces straight
+    // into the output. Faulted, each attempt draws its stall and crash,
+    // computes a scratch tile, stamps a checksum, and delivers only if
+    // the host-side re-checksum matches. A tile that exhausts its
+    // retries escalates: it is treated as running on a just-failed PE,
+    // and the host recomputes it from its own LUT copy, straight into
+    // the output. Under host fallback every tile escalates up front.
+    const auto runTile = [&](std::size_t tile, const std::uint16_t *idx0,
+                             std::size_t row0, std::size_t nrows) {
+        const std::size_t l = tile % lanes;
+        float *dst = out.rowPtr((tile / lanes) * mapping.ns_tile + row0) +
+                     l * mapping.fs_tile;
+        std::vector<std::int32_t> acc(quantized ? mapping.fs_tile : 0);
+        if (faults == nullptr || host_fallback) {
+            computeRows(idx0, nrows, dst, out.cols(), l, acc.data());
+            return;
+        }
+        // Physical executor of this logical tile (survivor under
+        // degraded mode, the owning PE otherwise).
+        const std::size_t pe = remap.legal ? remap.tile_owner[tile] : tile;
+        TileOutcome &oc = outcomes[tile];
+        const std::size_t tile_floats = nrows * mapping.fs_tile;
+        const std::size_t tile_bytes = tile_floats * sizeof(float);
+        std::vector<float> scratch(tile_floats);
+        for (std::size_t attempt = 0;; ++attempt) {
+            if (faults->transferStall(epoch, pe, attempt)) {
+                ++oc.stalls;
+                oc.extra_s += faults->config().stall_penalty_s;
+            }
 
-        std::size_t tickets[2];
+            bool delivered = false;
+            if (faults->transientCrash(epoch, pe, attempt)) {
+                ++oc.transient;
+            } else {
+                computeRows(idx0, nrows, scratch.data(), mapping.fs_tile,
+                            l, acc.data());
+                // The PE stamps a checksum on the tile it computed;
+                // corruption strikes after that stamp (in the resident
+                // LUT scrub window or on the wire), so the host-side
+                // re-checksum exposes it.
+                const std::uint64_t device_sum =
+                    faultChecksum(scratch.data(), tile_bytes);
+                const bool bitflip =
+                    faults->lutBitFlip(epoch, pe, attempt);
+                const bool corrupted =
+                    bitflip || faults->transferCorrupt(epoch, pe, attempt);
+                if (corrupted) {
+                    flipTileBit(
+                        scratch.data(),
+                        faults->corruptionTarget(epoch, pe, attempt,
+                                                 tile_floats),
+                        static_cast<unsigned>(epoch + attempt +
+                                              (bitflip ? 0 : 7)));
+                }
+                if (bitflip) {
+                    ++oc.bitflips;
+                    // Recovery re-stages the scrubbed LUT tile from the
+                    // host copy: one more per-PE LUT load.
+                    oc.extra_s += result.cost.t_ld_lut;
+                } else if (corrupted) {
+                    ++oc.corruptions;
+                }
+                const std::uint64_t host_sum =
+                    faultChecksum(scratch.data(), tile_bytes);
+                delivered = !corrupted && host_sum == device_sum;
+            }
+
+            if (delivered) {
+                for (std::size_t r = 0; r < nrows; ++r)
+                    std::memcpy(dst + r * out.cols(),
+                                scratch.data() + r * mapping.fs_tile,
+                                mapping.fs_tile * sizeof(float));
+                return;
+            }
+            if (attempt == retry.max_retries) {
+                oc.escalated = true;
+                computeRows(idx0, nrows, dst, out.cols(), l, acc.data());
+                return;
+            }
+            // Capped exponential backoff, then re-execute.
+            ++oc.retries;
+            oc.extra_s += retry.backoffFor(attempt) + attempt_cost;
+        }
+    };
+
+    // ---- The tile loop -----------------------------------------------
+    // One parallelFor over the (group, lane) tiles per index wave.
+    // Fault-free runs with a staging engine split the index broadcast
+    // into double-buffered row waves: wave w+1's staged fill runs on
+    // the transfer thread while the lock-step PEs reduce wave w, so all
+    // but the first wave's transfer hides behind compute (up to the
+    // shorter of the two per-wave times — the classic double-buffer
+    // bound). Every other run is one wave read straight from the host
+    // tensor: with row0 = 0 and nrows = ns_tile, packWaveRows' group-
+    // major layout is exactly the host index layout.
+    const bool staged = engine_on && faults == nullptr;
+    const std::size_t waves =
+        staged ? std::min(kStageWaves, mapping.ns_tile) : 1;
+    const std::size_t rpw = (mapping.ns_tile + waves - 1) / waves;
+    const double ns_total = static_cast<double>(mapping.ns_tile);
+
+    std::unique_ptr<transfer::StagingChannel> chan;
+    if (staged)
+        chan =
+            transfer_ctx->scheduler->openChannel("transfer.lut.indices");
+    const auto stageWave = [&](std::size_t w) {
+        const std::size_t row0 = w * rpw;
+        const std::size_t nrows = std::min(rpw, mapping.ns_tile - row0);
+        transfer::StageRequest req;
+        req.bytes = groups * nrows * indices.cols * sizeof(std::uint16_t);
+        req.modeled_seconds = result.cost.t_sub_index *
+                              static_cast<double>(nrows) / ns_total;
+        req.fill = [&, row0, nrows](std::uint8_t *dst, std::size_t) {
+            transfer::packWaveRows(indices.data.data(), groups,
+                                   mapping.ns_tile, row0, nrows,
+                                   indices.cols, sizeof(std::uint16_t),
+                                   dst);
+        };
+        return chan->stage(std::move(req));
+    };
+
+    std::size_t tickets[2] = {0, 0};
+    if (staged)
         tickets[0] = stageWave(0);
-        double prev_compute_s = 0.0;
-        for (std::size_t w = 0; w < waves; ++w) {
-            const std::size_t nrows = waveRows(w);
-            const double frac = static_cast<double>(nrows) / ns_total;
-            const double wave_transfer_s =
-                result.cost.t_sub_index * frac;
-            const std::vector<std::uint8_t> &buf =
-                chan->wait(tickets[w % 2]);
+    double prev_compute_s = 0.0;
+    for (std::size_t w = 0; w < waves; ++w) {
+        const std::size_t row0 = w * rpw;
+        const std::size_t nrows = std::min(rpw, mapping.ns_tile - row0);
+        const std::uint16_t *base = indices.data.data();
+        if (staged) {
+            base = reinterpret_cast<const std::uint16_t *>(
+                chan->wait(tickets[w % 2]).data());
             // Fill of wave w+1 proceeds on the transfer thread while
             // this wave computes below — the overlap itself.
             if (w + 1 < waves)
                 tickets[(w + 1) % 2] = stageWave(w + 1);
-            const auto *staged =
-                reinterpret_cast<const std::uint16_t *>(buf.data());
-            parallelFor(groups * lanes, [&](std::size_t pe) {
-                const std::size_t g = pe / lanes;
-                const std::size_t l = pe % lanes;
-                computeRows(staged + g * nrows * indices.cols,
-                            indices.cols, nrows,
-                            out.rowPtr(g * mapping.ns_tile +
-                                       waveRow0(w)) +
-                                l * mapping.fs_tile,
-                            out.cols(), l);
-            });
-            const transfer::StagedBurstReport br =
-                chan->report(tickets[w % 2]);
-            chan->release(tickets[w % 2]);
-            ++result.transfer.bursts;
-            result.transfer.staged_bytes += static_cast<double>(
-                groups * nrows * indices.cols * sizeof(std::uint16_t));
-            result.transfer.transfer_model_s += wave_transfer_s;
-            result.transfer.stalls += br.stalls;
-            result.transfer.corrupt_retries += br.corrupt_retries;
-            result.transfer.burst_added_s += br.added_seconds;
+        }
+        parallelFor(tiles, [&](std::size_t tile) {
+            runTile(tile, base + (tile / lanes) * nrows * indices.cols,
+                    row0, nrows);
+        });
+        if (staged) {
+            const double frac = static_cast<double>(nrows) / ns_total;
+            const double wave_transfer_s = result.cost.t_sub_index * frac;
+            finishBurst(*chan, tickets[w % 2],
+                        groups * nrows * indices.cols *
+                            sizeof(std::uint16_t),
+                        wave_transfer_s);
             // Wave w's transfer (w >= 1) hid behind wave w-1's
             // compute: at most the shorter of the two modeled times.
             if (w > 0)
                 result.transfer.hidden_model_s +=
                     std::min(wave_transfer_s, prev_compute_s);
-            prev_compute_s = micro_s * frac;
+            prev_compute_s = result.cost.microKernelTotal() * frac;
         }
-
-        static obs::Gauge &g_overlap =
-            reg.gauge("transfer.overlap_frac");
+    }
+    if (staged) {
+        static obs::Gauge &g_overlap = reg.gauge("transfer.overlap_frac");
         g_overlap.set(result.transfer.overlapFrac());
         span.attr("transfer_hidden_s", result.transfer.hidden_model_s);
-    } else if (faults == nullptr) {
-        // Fault-free fast path: each simulated PE (group g, lane l)
-        // reduces its own tile straight into the output.
-        parallelFor(groups * lanes, [&](std::size_t pe) {
-            computeTile(outTilePtr(pe / lanes, pe % lanes), out.cols(),
-                        pe / lanes, pe % lanes);
-        });
-    } else {
-        const std::size_t tiles = groups * lanes;
+    }
 
-        // Stage 1 of the ladder: find the permanently dead PEs in this
-        // mapping's pool and, if any, re-schedule their tiles onto the
-        // survivors (degraded mode). No survivors at all => the engine
-        // abandons the PIM and serves the operator from the host LUT.
-        std::vector<bool> failed(tiles, false);
-        std::size_t hard_failed = 0;
-        for (std::size_t pe = 0; pe < tiles; ++pe) {
-            if (faults->peHardFailed(pe)) {
-                failed[pe] = true;
-                ++hard_failed;
-            }
-        }
-        result.fault.hard_failed_pes = hard_failed;
-
-        static obs::Counter &c_fallbacks =
-            reg.counter("fault.lut.host_fallbacks");
-        static obs::Counter &c_transient =
-            reg.counter("fault.injected.pe_transient");
-        static obs::Counter &c_bitflip =
-            reg.counter("fault.injected.lut_bitflip");
-        static obs::Counter &c_corrupt =
-            reg.counter("fault.injected.transfer_corrupt");
-        static obs::Counter &c_stall =
-            reg.counter("fault.injected.transfer_stall");
-        static obs::Counter &c_retries = reg.counter("fault.lut.retries");
-        static obs::Counter &c_mismatches =
-            reg.counter("fault.lut.checksum_mismatches");
-        static obs::Counter &c_remapped =
-            reg.counter("fault.lut.tiles_remapped");
-        static obs::Counter &c_dead = reg.counter("fault.lut.dead_pes");
-        static obs::Histogram &h_added =
-            reg.histogram("fault.lut.added_latency_s");
-
-        DegradedLutRemap remap;
-        if (hard_failed > 0) {
-            c_dead.add(hard_failed);
-            remap = planDegradedLutRemap(shape, mapping, failed);
-            if (!remap.legal) {
-                // Ladder bottom: graceful host fallback. lookup() /
-                // lookupQuantized() applies the bias itself, so return
-                // before the distributed bias pass.
-                obs::TraceSpan fb("fault.host_fallback");
-                fb.attr("dead_pes",
-                        static_cast<std::uint64_t>(hard_failed));
-                result.output = quantized ? layer.lookupQuantized(indices)
-                                          : layer.lookup(indices);
-                result.fault.host_fallback = true;
-                c_fallbacks.add();
-                span.attr("host_fallback", std::uint64_t{1});
-                return result;
-            }
-            result.fault.degraded_waves = remap.waves;
-            if (verify::verifyPlansEnabled()) {
-                verify::requireClean(
-                    verify::verifyDegradedRemap(shape, mapping, failed,
-                                                remap),
-                    "degraded remap verification");
-            }
-        }
-
-        // One epoch per kernel launch: consecutive executions see fresh
-        // (but still seed-deterministic) draws.
-        const std::uint64_t epoch = faults->nextEpoch();
-        // Modeled cost of re-running one PE kernel attempt.
-        const double attempt_cost =
-            result.cost.microKernelTotal() + result.cost.kernel_launch;
-        const std::size_t tile_floats =
-            mapping.ns_tile * mapping.fs_tile;
-        const std::size_t tile_bytes = tile_floats * sizeof(float);
-
-        std::vector<TileOutcome> outcomes(tiles);
-
-        parallelFor(tiles, [&](std::size_t tile) {
-            const std::size_t g = tile / lanes;
-            const std::size_t l = tile % lanes;
-            // Physical executor of this logical tile (survivor under
-            // degraded mode, the owning PE otherwise).
-            const std::size_t pe =
-                remap.legal ? remap.tile_owner[tile] : tile;
-            TileOutcome &oc = outcomes[tile];
-
-            std::vector<float> scratch(tile_floats);
-            for (std::size_t attempt = 0; attempt <= retry.max_retries;
-                 ++attempt) {
-                if (faults->transferStall(epoch, pe, attempt)) {
-                    ++oc.stalls;
-                    oc.extra_s += faults->config().stall_penalty_s;
-                }
-
-                bool delivered = false;
-                if (faults->transientCrash(epoch, pe, attempt)) {
-                    ++oc.transient;
-                } else {
-                    computeTile(scratch.data(), mapping.fs_tile, g, l);
-                    // The PE stamps a checksum on the tile it computed;
-                    // corruption strikes after that stamp (in the
-                    // resident LUT scrub window or on the wire), so the
-                    // host-side re-checksum exposes it.
-                    const std::uint64_t device_sum =
-                        faultChecksum(scratch.data(), tile_bytes);
-                    bool corrupted = false;
-                    if (faults->lutBitFlip(epoch, pe, attempt)) {
-                        flipTileBit(
-                            scratch.data(),
-                            faults->corruptionTarget(epoch, pe, attempt,
-                                                     tile_floats),
-                            static_cast<unsigned>(epoch + attempt));
-                        ++oc.bitflips;
-                        corrupted = true;
-                        // Recovery re-stages the scrubbed LUT tile from
-                        // the host copy: one more per-PE LUT load.
-                        oc.extra_s += result.cost.t_ld_lut;
-                    } else if (faults->transferCorrupt(epoch, pe,
-                                                       attempt)) {
-                        flipTileBit(
-                            scratch.data(),
-                            faults->corruptionTarget(epoch, pe, attempt,
-                                                     tile_floats),
-                            static_cast<unsigned>(epoch + attempt + 7));
-                        ++oc.corruptions;
-                        corrupted = true;
-                    }
-                    const std::uint64_t host_sum =
-                        faultChecksum(scratch.data(), tile_bytes);
-                    delivered = !corrupted && host_sum == device_sum;
-                }
-
-                if (delivered) {
-                    float *dst = outTilePtr(g, l);
-                    for (std::size_t r = 0; r < mapping.ns_tile; ++r)
-                        std::memcpy(dst + r * out.cols(),
-                                    scratch.data() + r * mapping.fs_tile,
-                                    mapping.fs_tile * sizeof(float));
-                    return;
-                }
-                if (attempt == retry.max_retries) {
-                    oc.escalated = true;
-                    return;
-                }
-                // Capped exponential backoff, then re-execute.
-                ++oc.retries;
-                oc.extra_s += retry.backoffFor(attempt) + attempt_cost;
-            }
-        });
-
+    // ---- Fault ladder, stage 2: accounting ---------------------------
+    if (host_fallback) {
+        // The host served the whole operator.
+        kernels::recordLutWork(shape.n, cb, shape.f, elem);
+        result.fault.host_fallback = true;
+        reg.counter("fault.lut.host_fallbacks").add();
+        span.attr("host_fallback", std::uint64_t{1});
+    } else if (faults != nullptr) {
         // Deterministic aggregation after the parallel pass (each tile
         // outcome had exactly one writer).
         double max_tile_extra = 0.0;
@@ -467,55 +434,46 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
             result.fault.checksum_mismatches += oc.corruptions;
             result.fault.stalls += oc.stalls;
             result.fault.retries += oc.retries;
-            if (oc.escalated)
-                ++escalated;
+            escalated += oc.escalated ? 1 : 0;
             max_tile_extra = std::max(max_tile_extra, oc.extra_s);
-        }
-
-        // Escalation: a tile that exhausted its retries is treated as
-        // running on a just-failed PE — the host recomputes it from its
-        // own LUT copy, serially, preserving bit-exact output.
-        if (escalated > 0) {
-            for (std::size_t tile = 0; tile < tiles; ++tile) {
-                if (!outcomes[tile].escalated)
-                    continue;
-                computeTile(outTilePtr(tile / lanes, tile % lanes),
-                            out.cols(), tile / lanes, tile % lanes);
-            }
         }
 
         // Stall/retry terms for the analytical timing: lock-step PEs
         // finish with the slowest tile's recovery chain; degraded mode
         // serializes the survivors into `waves` rounds; escalated tiles
         // recompute serially on the host.
-        double remapped = 0.0;
+        std::size_t remapped = 0;
         if (remap.legal) {
             result.fault.added_latency_s +=
                 static_cast<double>(remap.waves - 1) * attempt_cost;
-            for (std::size_t tile = 0; tile < tiles; ++tile) {
-                if (remap.tile_owner[tile] != tile)
-                    remapped += 1.0;
-            }
+            for (std::size_t tile = 0; tile < tiles; ++tile)
+                remapped += remap.tile_owner[tile] != tile ? 1 : 0;
         }
-        result.fault.tiles_remapped =
-            static_cast<std::size_t>(remapped) + escalated;
+        result.fault.tiles_remapped = remapped + escalated;
         result.fault.added_latency_s +=
             max_tile_extra + static_cast<double>(escalated) * attempt_cost;
 
-        c_transient.add(result.fault.transient_crashes);
-        c_bitflip.add(result.fault.lut_bitflips);
-        c_corrupt.add(result.fault.checksum_mismatches);
-        c_stall.add(result.fault.stalls);
-        c_retries.add(result.fault.retries);
-        c_mismatches.add(result.fault.checksum_mismatches +
-                         result.fault.lut_bitflips);
-        c_remapped.add(result.fault.tiles_remapped);
-        h_added.record(result.fault.added_latency_s);
+        reg.counter("fault.injected.pe_transient")
+            .add(result.fault.transient_crashes);
+        reg.counter("fault.injected.lut_bitflip")
+            .add(result.fault.lut_bitflips);
+        reg.counter("fault.injected.transfer_corrupt")
+            .add(result.fault.checksum_mismatches);
+        reg.counter("fault.injected.transfer_stall")
+            .add(result.fault.stalls);
+        reg.counter("fault.lut.retries").add(result.fault.retries);
+        reg.counter("fault.lut.checksum_mismatches")
+            .add(result.fault.checksum_mismatches +
+                 result.fault.lut_bitflips);
+        reg.counter("fault.lut.tiles_remapped")
+            .add(result.fault.tiles_remapped);
+        reg.histogram("fault.lut.added_latency_s")
+            .record(result.fault.added_latency_s);
 
         if (!result.fault.faultFree()) {
             obs::TraceSpan recover("fault.recover");
-            recover.attr("retries", static_cast<std::uint64_t>(
-                                        result.fault.retries));
+            recover.attr("retries",
+                         static_cast<std::uint64_t>(result.fault.retries));
             recover.attr("remapped", static_cast<std::uint64_t>(
                                          result.fault.tiles_remapped));
             recover.attr("added_s", result.fault.added_latency_s);

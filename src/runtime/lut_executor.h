@@ -32,14 +32,17 @@
 
 namespace pimdl {
 
+/** Row waves a staged index broadcast is split into (capped at
+ * ns_tile): each wave's fill overlaps the previous wave's PE compute. */
+inline constexpr std::size_t kStageWaves = 4;
+
 /**
  * Optional transfer-engine hookup for one distributed execution. When
  * present (and the platform is an offload model), the executor runs its
  * host->PIM movement through the real staging machinery instead of only
- * pricing it: index tiles are broadcast in double-buffered row waves
- * (stage_waves chunks whose fills overlap the previous wave's PE
- * compute), and LUT re-staging consults the resident-LUT manager first
- * — a hit skips the scatter burst entirely.
+ * pricing it: fault-free index tiles are broadcast in kStageWaves
+ * double-buffered row waves, and LUT re-staging consults the
+ * resident-LUT manager first — a hit skips the scatter burst entirely.
  */
 struct LutTransferContext
 {
@@ -49,8 +52,6 @@ struct LutTransferContext
     transfer::ResidentLutManager *resident = nullptr;
     /** Caller-stable identity of this layer's LUT table. */
     std::uint64_t resident_key = 0;
-    /** Row chunks the index broadcast is split into (>= 1). */
-    std::size_t stage_waves = 4;
 };
 
 /** Transfer-engine outcome of one distributed execution. */
@@ -123,16 +124,21 @@ struct DistributedLutResult
  * under @p mapping. When @p quantized is true the PEs reduce the INT8
  * LUT with INT32 accumulators (the UPMEM deployment mode).
  *
- * When @p faults is non-null, execution runs through the resilient
- * ladder under @p retry; with all rates zero and no forced kills the
- * output (and the analytical cost) is bit-identical to a fault-free
- * run.
+ * Every run takes one tile loop: per index wave, one parallel pass
+ * over the (group, lane) tiles. Fault-free runs with a staging engine
+ * read kStageWaves waves from staged buffers; every other run reads
+ * one wave straight from @p indices.
  *
- * When @p transfer_ctx is non-null, host->PIM movement runs through
- * the transfer engine: resident-LUT lookups, and (on the fault-free
- * path) the double-buffered wave broadcast of index tiles; the staged
- * output is bit-identical to the unstaged one. Under the per-PE fault
- * ladder only residency applies (the ladder owns the wave structure).
+ * When @p faults is non-null, each tile runs the resilient attempt
+ * loop under @p retry, dead PEs' tiles are remapped onto survivors, and
+ * with no survivors every tile escalates to the host (host fallback);
+ * with all rates zero and no forced kills the output (and the
+ * analytical cost) is bit-identical to a fault-free run.
+ *
+ * When @p transfer_ctx is non-null, resident-LUT lookups (and, on a
+ * miss, the LUT scatter burst) run through the transfer engine; a
+ * faulted run gets residency only, its index broadcast is not staged.
+ * The staged output is bit-identical to the unstaged one.
  *
  * Throws (via PIMDL_REQUIRE) if the mapping is illegal for the shape.
  */

@@ -83,11 +83,10 @@ ResidentLutManager::stats() const
 }
 
 double
-residentLutCapacityBytes(const PimPlatformConfig &platform,
-                         double fraction)
+residentLutCapacityBytes(const PimPlatformConfig &platform)
 {
     return static_cast<double>(platform.num_pes) *
-           static_cast<double>(platform.pe_local_mem_bytes) * fraction;
+           static_cast<double>(platform.pe_local_mem_bytes) * 0.5;
 }
 
 } // namespace transfer

@@ -90,12 +90,11 @@ class ResidentLutManager
 };
 
 /**
- * Default resident-LUT budget of @p platform: @p fraction of the
- * aggregate per-bank local memory (the remainder stays for working
- * tiles, matching the verifier's per-bank capacity pass).
+ * Default resident-LUT budget of @p platform: half the aggregate
+ * per-bank local memory (the other half stays for working tiles,
+ * matching the verifier's per-bank capacity pass).
  */
-double residentLutCapacityBytes(const PimPlatformConfig &platform,
-                                double fraction = 0.5);
+double residentLutCapacityBytes(const PimPlatformConfig &platform);
 
 } // namespace transfer
 } // namespace pimdl

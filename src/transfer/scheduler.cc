@@ -10,12 +10,8 @@ TransferScheduler::TransferScheduler(Options options)
     : options_(options),
       clock_(options.clock != nullptr ? options.clock
                                       : &SteadyClock::instance()),
-      jobs_(options.queue_capacity > 0 ? options.queue_capacity : 1,
-            "transfer.jobs")
+      jobs_(kTransferQueueCapacity, "transfer.jobs")
 {
-    PIMDL_REQUIRE(options_.queue_capacity > 0,
-                  "transfer queue capacity must be positive");
-    options_.retry.validate();
     if (!options_.synchronous)
         worker_ = std::thread([this] { workerLoop(); });
 }
@@ -79,6 +75,7 @@ TransferScheduler::runFill(StagingChannel *channel, std::size_t slot)
     const std::uint64_t seed =
         faults != nullptr ? faults->config().seed : 0;
     const FaultConfig *fc = faults != nullptr ? &faults->config() : nullptr;
+    const RetryPolicy retry;
 
     for (std::size_t attempt = 0;; ++attempt) {
         if (request.fill && request.bytes > 0)
@@ -114,8 +111,8 @@ TransferScheduler::runFill(StagingChannel *channel, std::size_t slot)
         ++report.corrupt_retries;
         report.added_seconds +=
             request.modeled_seconds +
-            options_.retry.backoffFor(report.corrupt_retries - 1);
-        if (report.corrupt_retries > options_.retry.max_retries) {
+            retry.backoffFor(report.corrupt_retries - 1);
+        if (report.corrupt_retries > retry.max_retries) {
             // Retry budget exhausted: one final clean refill below
             // models the host-mediated recovery path (always succeeds
             // in simulation); data delivered to the consumer is never

@@ -18,9 +18,9 @@
  * Fault injection moves to per-burst granularity here (streams 301+):
  * each staged burst draws corruption and stall outcomes keyed by its
  * global sequence number and attempt. A corrupted fill is detected by
- * checksum and re-staged under the retry policy; penalties accumulate
- * as modeled seconds on the burst, never as wall sleeps, so accounting
- * stays ManualClock-deterministic.
+ * checksum and re-staged under the default RetryPolicy (fault.h);
+ * penalties accumulate as modeled seconds on the burst, never as wall
+ * sleeps, so accounting stays ManualClock-deterministic.
  */
 
 #ifndef PIMDL_TRANSFER_SCHEDULER_H
@@ -83,6 +83,9 @@ struct TransferSchedulerStats
 
 class StagingChannel;
 
+/** Pending staging jobs before stage() blocks. */
+inline constexpr std::size_t kTransferQueueCapacity = 64;
+
 /**
  * Owns the transfer thread and the staging job queue. Channels opened
  * from a scheduler must not outlive it. In synchronous mode no thread
@@ -95,13 +98,10 @@ class TransferScheduler
   public:
     struct Options
     {
-        /** Pending staging jobs before stage() blocks. */
-        std::size_t queue_capacity = 64;
         /** Injectable time source for wall accounting. */
         Clock *clock = nullptr;
         /** Per-burst fault draws (nullptr = fault-free). */
         const FaultInjector *faults = nullptr;
-        RetryPolicy retry;
         /** Run fills inline; no transfer thread, no overlap. */
         bool synchronous = false;
     };

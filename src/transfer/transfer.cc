@@ -1,7 +1,5 @@
 #include "transfer.h"
 
-#include <stdexcept>
-
 #include "common/logging.h"
 #include "obs/metrics.h"
 
@@ -36,17 +34,6 @@ curveFor(const PimPlatformConfig &platform, LinkPattern pattern)
     return platform.host_broadcast;
 }
 
-void
-TransferPolicy::validate() const
-{
-    if (!(max_burst_bytes > 0.0))
-        throw std::runtime_error(
-            "TransferPolicy.max_burst_bytes must be positive");
-    if (layer_window == 0)
-        throw std::runtime_error(
-            "TransferPolicy.layer_window must be positive");
-}
-
 double
 burstSeconds(const PimPlatformConfig &platform, LinkPattern pattern,
              double bytes)
@@ -79,11 +66,8 @@ BurstPlan::flatSeconds(const PimPlatformConfig &platform) const
 }
 
 BurstPlan
-planTransferBursts(Plan &plan, const PimPlatformConfig &platform,
-                   const TransferPolicy &policy)
+planTransferBursts(Plan &plan)
 {
-    policy.validate();
-    (void)platform; // Pricing is separate (burstSeconds/flatSeconds).
     BurstPlan result;
 
     // Id of the staging burst currently open for merging (an index,
@@ -137,14 +121,13 @@ planTransferBursts(Plan &plan, const PimPlatformConfig &platform,
             // Static-weight staging is free of the chain: it may merge
             // past intervening activation bursts (the engine prefetches
             // the next operators' LUTs while earlier ones compute),
-            // bounded by the policy's size and layer window.
+            // bounded by the burst size and layer window.
             const bool fits =
                 open_staging != kNoBurstId &&
-                policy.coalesce_lut_staging &&
                 result.bursts[open_staging].bytes + stage_bytes <=
-                    policy.max_burst_bytes &&
-                node.layer < result.bursts[open_staging].first_layer +
-                                 policy.layer_window;
+                    kMaxBurstBytes &&
+                node.layer <
+                    result.bursts[open_staging].first_layer + kLayerWindow;
             stage_burst_id =
                 fits ? open_staging
                      : newBurst(LinkPattern::Scatter,
@@ -154,8 +137,7 @@ planTransferBursts(Plan &plan, const PimPlatformConfig &platform,
             burst.slices.push_back({node.id, stage_bytes});
             burst.bytes += stage_bytes;
             burst.last_layer = std::max(burst.last_layer, node.layer);
-            open_staging =
-                policy.coalesce_lut_staging ? stage_burst_id : kNoBurstId;
+            open_staging = stage_burst_id;
         }
 
         // The node's annotation points at the burst carrying its

@@ -55,23 +55,14 @@ const char *linkPatternName(LinkPattern pattern);
 const BandwidthCurve &curveFor(const PimPlatformConfig &platform,
                                LinkPattern pattern);
 
-/** Knobs of the burst-formation pass. */
-struct TransferPolicy
-{
-    /** Upper bound on one coalesced burst's payload, bytes (bounds the
-     * host staging memory the burst occupies). */
-    double max_burst_bytes = 64.0 * 1024 * 1024;
-    /** Consecutive encoder layers one staging burst may span. Staging
-     * payloads are prefetchable static weights, so the window trades
-     * staging memory for curve position. */
-    std::size_t layer_window = 2;
-    /** Merge static LUT staging payloads across operators (off =
-     * one burst per plan payload, the flat baseline). */
-    bool coalesce_lut_staging = true;
+/** Upper bound on one coalesced staging burst's payload, bytes
+ * (bounds the host staging memory the burst occupies). */
+inline constexpr double kMaxBurstBytes = 64.0 * 1024 * 1024;
 
-    /** Throws std::runtime_error on non-positive bounds. */
-    void validate() const;
-};
+/** Consecutive encoder layers one staging burst may span. Staging
+ * payloads are prefetchable static weights, so the window trades
+ * staging memory for curve position. */
+inline constexpr std::size_t kLayerWindow = 2;
 
 /** One plan payload's contribution to a burst. */
 struct BurstSlice
@@ -117,7 +108,8 @@ struct BurstPlan
      * curve point of the burst size. */
     double burstSeconds(const PimPlatformConfig &platform) const;
     /** Flat-payload baseline: every piece is its own burst, paying its
-     * own setup and riding the curve at its own (smaller) size. */
+     * own setup and riding the curve at its own (smaller) size; that
+     * plan has bursts.size() + merged_pieces bursts. */
     double flatSeconds(const PimPlatformConfig &platform) const;
 };
 
@@ -131,11 +123,11 @@ double burstSeconds(const PimPlatformConfig &platform, LinkPattern pattern,
  * annotates each node's burst_id with the burst that carries its
  * largest payload share. Activation payloads (indices, outputs) become
  * one burst each; static LUT staging payloads merge across operators
- * within the policy's layer window and size bound. Node count, deps,
- * and transfer_bytes are never modified.
+ * within kLayerWindow layers and kMaxBurstBytes. Node count, deps, and
+ * transfer_bytes are never modified. Pricing is separate
+ * (BurstPlan::burstSeconds/flatSeconds).
  */
-BurstPlan planTransferBursts(Plan &plan, const PimPlatformConfig &platform,
-                             const TransferPolicy &policy = {});
+BurstPlan planTransferBursts(Plan &plan);
 
 } // namespace transfer
 } // namespace pimdl

@@ -370,6 +370,39 @@ TEST(FaultExecutor, HostFallbackWhenEveryPeDead)
     EXPECT_EQ(maxAbsDiff(clean.output, faulty.output), 0.0f);
 }
 
+TEST(FaultExecutor, HostFallbackAppliesBiasOnce)
+{
+    Rng rng(92);
+    Tensor w(16, 24);
+    w.fillGaussian(rng);
+    Tensor calib(128, 16);
+    calib.fillGaussian(rng);
+    ConvertOptions options;
+    options.subvec_len = 2;
+    options.centroids = 8;
+    options.quantize_int8 = true;
+    std::vector<float> bias(24);
+    for (std::size_t i = 0; i < bias.size(); ++i)
+        bias[i] = 0.25f * static_cast<float>(i) - 2.0f;
+    const LutLayer biased = convertLinearLayer(w, bias, calib, options);
+    Tensor input(48, 16);
+    input.fillGaussian(rng);
+    const IndexMatrix idx = biased.closestCentroidSearch(input);
+    const LutMapping mapping = mappingFor(48, 24, 6, 4, 8);
+
+    const DistributedLutResult clean =
+        runDistributedLut(upmemPlatform(), biased, idx, mapping, true);
+    FaultInjector inj{FaultConfig{}};
+    for (std::size_t pe = 0; pe < 24; ++pe)
+        inj.forceFailPe(pe);
+    const DistributedLutResult fallback = runDistributedLut(
+        upmemPlatform(), biased, idx, mapping, true, &inj);
+    EXPECT_TRUE(fallback.fault.host_fallback);
+    // The host serves every tile through the same bias pass: a missed or
+    // doubled bias would shift every element.
+    EXPECT_EQ(maxAbsDiff(clean.output, fallback.output), 0.0f);
+}
+
 TEST(FaultExecutor, StallsAddLatencyWithoutRetries)
 {
     const Workload w;

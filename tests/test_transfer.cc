@@ -63,8 +63,7 @@ TEST(TransferBursts, CoalescingConservesBytesAndRespectsDependencies)
     Plan plan = loweredUpmemPlan(upmem);
     const double plan_bytes = planTransferBytes(plan);
 
-    const transfer::BurstPlan bursts =
-        transfer::planTransferBursts(plan, upmem);
+    const transfer::BurstPlan bursts = transfer::planTransferBursts(plan);
 
     // Byte conservation: burst formation never invents or drops payload.
     double burst_bytes = 0.0;
@@ -124,30 +123,37 @@ TEST(TransferBursts, CoalescingConservesBytesAndRespectsDependencies)
 TEST(TransferBursts, PolicyWindowAndSizeBoundMerging)
 {
     const PimPlatformConfig upmem = upmemPlatform();
-
-    transfer::TransferPolicy policy;
-    policy.layer_window = 1;
     Plan plan = loweredUpmemPlan(upmem);
-    const transfer::BurstPlan windowed =
-        transfer::planTransferBursts(plan, upmem, policy);
-    for (const transfer::TransferBurst &b : windowed.bursts)
-        EXPECT_LT(b.last_layer, b.first_layer + policy.layer_window)
+    const transfer::BurstPlan bursts = transfer::planTransferBursts(plan);
+
+    // Every staging burst stays inside the layer window and size bound,
+    // and a new one opens only when the next piece would break one of
+    // them (greedy merging, so the bounds are what stops it).
+    const transfer::TransferBurst *open = nullptr;
+    bool window_reached = false;
+    for (const transfer::TransferBurst &b : bursts.bursts) {
+        if (!b.lut_staging)
+            continue;
+        EXPECT_LT(b.last_layer, b.first_layer + transfer::kLayerWindow)
             << "burst " << b.id << " spans past its layer window";
-
-    policy = transfer::TransferPolicy{};
-    policy.max_burst_bytes = 1.0; // nothing fits next to anything
-    Plan tiny = loweredUpmemPlan(upmem);
-    const transfer::BurstPlan bounded =
-        transfer::planTransferBursts(tiny, upmem, policy);
-    for (const transfer::TransferBurst &b : bounded.bursts)
-        EXPECT_EQ(b.pieces(), 1u)
-            << "size bound must stop all merging";
-    EXPECT_EQ(bounded.merged_pieces, 0u);
-
-    transfer::TransferPolicy bad;
-    bad.max_burst_bytes = 0.0;
-    EXPECT_THROW(transfer::planTransferBursts(tiny, upmem, bad),
-                 std::runtime_error);
+        EXPECT_LE(b.bytes, transfer::kMaxBurstBytes) << "burst " << b.id;
+        if (b.last_layer + 1 == b.first_layer + transfer::kLayerWindow &&
+            b.pieces() > 1)
+            window_reached = true;
+        if (open != nullptr) {
+            const std::size_t window_end =
+                open->first_layer + transfer::kLayerWindow;
+            const bool window_full = b.first_layer >= window_end;
+            const bool size_full = open->bytes + b.slices.front().bytes >
+                                   transfer::kMaxBurstBytes;
+            EXPECT_TRUE(window_full || size_full)
+                << "burst " << b.id << " opened while burst " << open->id
+                << " still had room";
+        }
+        open = &b;
+    }
+    EXPECT_TRUE(window_reached)
+        << "BERT-base staging must fill a whole layer window";
 }
 
 TEST(TransferBursts, CoalescedPricingBeatsFlatBaseline)
@@ -155,25 +161,44 @@ TEST(TransferBursts, CoalescedPricingBeatsFlatBaseline)
     const PimPlatformConfig upmem = upmemPlatform();
     Plan plan = loweredUpmemPlan(upmem);
     const transfer::BurstPlan coalesced =
-        transfer::planTransferBursts(plan, upmem);
+        transfer::planTransferBursts(plan);
 
     // Merged bursts pay one setup and ride a higher curve point, so the
     // engine pricing is strictly below the flat per-payload baseline.
     EXPECT_LT(coalesced.burstSeconds(upmem),
               coalesced.flatSeconds(upmem));
 
-    // With coalescing off, every burst is one piece and the two
-    // pricings collapse to the same number.
-    transfer::TransferPolicy off;
-    off.coalesce_lut_staging = false;
-    Plan flat_plan = loweredUpmemPlan(upmem);
-    const transfer::BurstPlan flat =
-        transfer::planTransferBursts(flat_plan, upmem, off);
-    for (const transfer::TransferBurst &b : flat.bursts)
-        EXPECT_EQ(b.pieces(), 1u);
-    EXPECT_DOUBLE_EQ(flat.burstSeconds(upmem), flat.flatSeconds(upmem));
-    EXPECT_DOUBLE_EQ(flat.flatSeconds(upmem),
-                     coalesced.flatSeconds(upmem))
+    // The flat baseline is every plan payload as its own burst: one
+    // piece per merged-away piece plus one per burst, priced straight
+    // from the plan's transfer nodes.
+    std::size_t pieces = 0;
+    for (const transfer::TransferBurst &b : coalesced.bursts)
+        pieces += b.pieces();
+    EXPECT_EQ(pieces, coalesced.bursts.size() + coalesced.merged_pieces);
+    double flat_s = 0.0;
+    std::size_t payloads = 0;
+    for (const PlanNode &node : plan.nodes) {
+        if (node.kind != PlanOpKind::HostPimTransfer)
+            continue;
+        const bool up = node.direction == TransferDirection::HostToPim;
+        const double stage = up ? node.lut_stage_bytes : 0.0;
+        const double act = node.transfer_bytes - stage;
+        if (act > 0.0) {
+            ++payloads;
+            flat_s += transfer::burstSeconds(
+                upmem,
+                up ? transfer::LinkPattern::Broadcast
+                   : transfer::LinkPattern::Gather,
+                act);
+        }
+        if (stage > 0.0) {
+            ++payloads;
+            flat_s += transfer::burstSeconds(
+                upmem, transfer::LinkPattern::Scatter, stage);
+        }
+    }
+    EXPECT_EQ(payloads, pieces);
+    EXPECT_DOUBLE_EQ(coalesced.flatSeconds(upmem), flat_s)
         << "the flat baseline must not depend on burst formation";
 }
 
@@ -399,7 +424,6 @@ TEST(TransferScheduler, CorruptedBurstsAreRetriedToCleanDelivery)
     transfer::TransferScheduler::Options options;
     options.clock = &clock;
     options.faults = &faults;
-    options.retry.max_retries = 2;
     options.synchronous = true; // deterministic single-thread draws
     transfer::TransferScheduler scheduler(options);
     auto channel = scheduler.openChannel("test.faults");
@@ -415,12 +439,13 @@ TEST(TransferScheduler, CorruptedBurstsAreRetriedToCleanDelivery)
             << "delivered data must be clean after retries";
 
     const transfer::StagedBurstReport report = channel->report(ticket);
-    // Rate 1.0 burns the whole retry budget, then the final clean
-    // refill delivers: max_retries + 1 corrupt draws.
-    EXPECT_EQ(report.corrupt_retries, options.retry.max_retries + 1);
+    // Rate 1.0 burns the whole (default) retry budget, then the final
+    // clean refill delivers: max_retries + 1 corrupt draws.
+    const RetryPolicy retry;
+    EXPECT_EQ(report.corrupt_retries, retry.max_retries + 1);
     double expected = 0.0;
     for (std::size_t r = 0; r < report.corrupt_retries; ++r)
-        expected += modeled_s + options.retry.backoffFor(r);
+        expected += modeled_s + retry.backoffFor(r);
     expected += report.stalls * fc.stall_penalty_s;
     EXPECT_NEAR(report.added_seconds, expected, 1e-15)
         << "penalties are modeled seconds, not wall time";
@@ -533,7 +558,6 @@ TEST(TransferExecutor, StagedExecutionIsBitExactAndDeterministic)
         transfer::TransferScheduler scheduler(options);
         LutTransferContext ctx;
         ctx.scheduler = &scheduler;
-        ctx.stage_waves = 4;
         return runDistributedLut(upmem, layer, idx, m, false, nullptr,
                                  {}, &ctx);
     };
@@ -620,6 +644,71 @@ TEST(TransferExecutor, ResidentLutSkipsRestagingOnRepeatedRuns)
     for (std::size_t row = 0; row < plain.output.rows(); ++row)
         for (std::size_t col = 0; col < plain.output.cols(); ++col)
             ASSERT_EQ(warm.output(row, col), plain.output(row, col));
+}
+
+TEST(TransferExecutor, FaultedRunWithEngineGetsResidencyOnly)
+{
+    const PimPlatformConfig upmem = upmemPlatform();
+    LutLayer layer = makeLayerNoBias(16, 24, 2, 8, 74);
+    Rng rng(75);
+    Tensor input(32, 16);
+    input.fillGaussian(rng);
+    const IndexMatrix idx = layer.closestCentroidSearch(input);
+    const LutMapping m = mappingFor(32, 24, 4, 2);
+    const DistributedLutResult clean =
+        runDistributedLut(upmem, layer, idx, m, true);
+
+    // Two injectors on one seed, so the run with a context and the run
+    // without one draw the same faults epoch by epoch.
+    FaultConfig fc;
+    fc.seed = 76;
+    fc.pe_transient_rate = 0.2;
+    fc.transfer_corrupt_rate = 0.15;
+    fc.transfer_stall_rate = 0.15;
+    FaultInjector with_ctx(fc);
+    FaultInjector without_ctx(fc);
+    with_ctx.forceFailPe(3);
+    without_ctx.forceFailPe(3);
+
+    transfer::TransferScheduler scheduler({});
+    transfer::ResidentLutManager resident(
+        transfer::residentLutCapacityBytes(upmem));
+    LutTransferContext ctx;
+    ctx.scheduler = &scheduler;
+    ctx.resident = &resident;
+    ctx.resident_key = 7;
+
+    for (std::size_t call = 0; call < 2; ++call) {
+        SCOPED_TRACE(call == 0 ? "cold" : "warm");
+        const DistributedLutResult engine = runDistributedLut(
+            upmem, layer, idx, m, true, &with_ctx, {}, &ctx);
+        const DistributedLutResult bare = runDistributedLut(
+            upmem, layer, idx, m, true, &without_ctx);
+
+        EXPECT_EQ(maxAbsDiff(engine.output, clean.output), 0.0f);
+
+        const FaultReport &a = engine.fault;
+        const FaultReport &b = bare.fault;
+        EXPECT_EQ(a.hard_failed_pes, 1u);
+        EXPECT_GT(a.retries + a.stalls, 0u);
+        EXPECT_EQ(a.hard_failed_pes, b.hard_failed_pes);
+        EXPECT_EQ(a.transient_crashes, b.transient_crashes);
+        EXPECT_EQ(a.checksum_mismatches, b.checksum_mismatches);
+        EXPECT_EQ(a.lut_bitflips, b.lut_bitflips);
+        EXPECT_EQ(a.stalls, b.stalls);
+        EXPECT_EQ(a.retries, b.retries);
+        EXPECT_EQ(a.tiles_remapped, b.tiles_remapped);
+        EXPECT_EQ(a.degraded_waves, b.degraded_waves);
+        EXPECT_EQ(a.host_fallback, b.host_fallback);
+        EXPECT_EQ(a.added_latency_s, b.added_latency_s);
+
+        // Residency only: the cold call pays the LUT scatter, the warm
+        // one hits, and the index broadcast is never staged in waves.
+        EXPECT_EQ(engine.transfer.resident_misses, call == 0 ? 1u : 0u);
+        EXPECT_EQ(engine.transfer.resident_hits, call == 0 ? 0u : 1u);
+        EXPECT_EQ(engine.transfer.bursts, call == 0 ? 1u : 0u);
+        EXPECT_EQ(engine.transfer.hidden_model_s, 0.0);
+    }
 }
 
 // ---------------------------------------------------------------------
