@@ -242,17 +242,26 @@ gaussianVec(Rng &rng, std::size_t n)
     return v;
 }
 
+/**
+ * Times and checks @p field of every available impl. An impl whose
+ * entry is the scalar function itself (the generic table reuses the
+ * scalar reference for kernels it does not vectorize) gets no row.
+ */
+template <typename Fn>
 void
 appendEntries(std::vector<BenchEntry> &entries, const std::string &kernel,
-              const std::string &shape, double bytes_per_op,
-              double ops_per_op,
+              Fn kernels::KernelTable::*field, const std::string &shape,
+              double bytes_per_op, double ops_per_op,
               const std::function<double(const kernels::KernelTable &)>
                   &measure,
               const std::function<bool(const kernels::KernelTable &)>
                   &matchesScalar)
 {
+    const kernels::KernelTable &scalar = kernels::scalarKernels();
     double scalar_ns = 0.0;
     for (const kernels::KernelTable *impl : kernels::availableKernels()) {
+        if (impl != &scalar && impl->*field == scalar.*field)
+            continue;
         if (!matchesScalar(*impl))
             exactnessFailure(kernel, impl->name, shape);
         BenchEntry e;
@@ -312,7 +321,8 @@ benchCcs(std::vector<BenchEntry> &entries)
     const double ops = static_cast<double>(2 * ct * v + 2 * ct);
     std::vector<std::uint16_t> idx(n * cb);
     appendEntries(
-        entries, "ccs_argmin", shape, bytes, ops,
+        entries, "ccs_argmin", &kernels::KernelTable::ccs_argmin, shape,
+        bytes, ops,
         [&](const kernels::KernelTable &kt) {
             return nsPerCall([&] { runAll(kt, idx); }, n * cb);
         },
@@ -336,10 +346,8 @@ benchLutF32(std::vector<BenchEntry> &entries, std::size_t f)
 
     auto runAll = [&](const kernels::KernelTable &kt,
                       std::vector<float> &out) {
-        for (std::size_t r = 0; r < n; ++r) {
-            kt.lut_accum_f32(idx.data() + r * cb, cb, ct, lut.data(), f,
-                             0, f, out.data() + r * f);
-        }
+        kt.lut_accum_f32(idx.data(), cb, n, cb, ct, lut.data(), f, 0, f,
+                         out.data(), f);
     };
     std::vector<float> want(n * f);
     runAll(kernels::scalarKernels(), want);
@@ -350,7 +358,8 @@ benchLutF32(std::vector<BenchEntry> &entries, std::size_t f)
     const double ops = static_cast<double>(cb * f);
     std::vector<float> out(n * f);
     appendEntries(
-        entries, "lut_accum_f32", shape, bytes, ops,
+        entries, "lut_accum_f32", &kernels::KernelTable::lut_accum_f32,
+        shape, bytes, ops,
         [&](const kernels::KernelTable &kt) {
             return nsPerCall([&] { runAll(kt, out); }, n);
         },
@@ -361,12 +370,22 @@ benchLutF32(std::vector<BenchEntry> &entries, std::size_t f)
         });
 }
 
-/** INT8 LUT gather-accumulate: one op = one output row. */
+/**
+ * INT8 LUT gather-accumulate: one op = one dequantized output row.
+ * With @p fs_tile == 0 each call reduces whole rows (the HostLut
+ * shape); otherwise the row is split into f / fs_tile column tiles of
+ * n rows each, one kernel call per tile, the way the distributed LUT
+ * executor reduces a (group, lane) tile.
+ */
 void
-benchLutI8(std::vector<BenchEntry> &entries, std::size_t f)
+benchLutI8(std::vector<BenchEntry> &entries, std::size_t f,
+           std::size_t fs_tile)
 {
     const std::size_t n = 128, cb = 192, ct = 16;
-    const std::string shape = "n128.cb192.ct16.f" + std::to_string(f);
+    std::string shape = "n128.cb192.ct16.f" + std::to_string(f);
+    if (fs_tile != 0)
+        shape += ".fs" + std::to_string(fs_tile);
+    const std::size_t tile = fs_tile != 0 ? fs_tile : f;
     Rng rng(23);
     std::vector<std::int8_t> lut(cb * ct * f);
     for (std::int8_t &x : lut)
@@ -374,30 +393,33 @@ benchLutI8(std::vector<BenchEntry> &entries, std::size_t f)
     std::vector<std::uint16_t> idx(n * cb);
     for (std::uint16_t &x : idx)
         x = static_cast<std::uint16_t>(rng.index(ct));
+    const float scale = 0.0078125f;
 
     auto runAll = [&](const kernels::KernelTable &kt,
-                      std::vector<std::int32_t> &acc) {
-        for (std::size_t r = 0; r < n; ++r) {
-            kt.lut_accum_i8(idx.data() + r * cb, cb, ct, lut.data(), f,
-                            0, f, acc.data() + r * f);
+                      std::vector<float> &out) {
+        for (std::size_t col0 = 0; col0 < f; col0 += tile) {
+            kt.lut_accum_i8(idx.data(), cb, n, cb, ct, lut.data(), f,
+                            col0, tile, scale, out.data() + col0, f);
         }
     };
-    std::vector<std::int32_t> want(n * f);
+    std::vector<float> want(n * f);
     runAll(kernels::scalarKernels(), want);
 
     const double bytes =
         static_cast<double>(cb) * (2.0 + static_cast<double>(f)) +
         4.0 * static_cast<double>(f);
     const double ops = static_cast<double>(cb * f);
-    std::vector<std::int32_t> acc(n * f);
+    std::vector<float> out(n * f);
     appendEntries(
-        entries, "lut_accum_i8", shape, bytes, ops,
+        entries, "lut_accum_i8", &kernels::KernelTable::lut_accum_i8,
+        shape, bytes, ops,
         [&](const kernels::KernelTable &kt) {
-            return nsPerCall([&] { runAll(kt, acc); }, n);
+            return nsPerCall([&] { runAll(kt, out); }, n);
         },
         [&](const kernels::KernelTable &kt) {
-            runAll(kt, acc);
-            return acc == want;
+            runAll(kt, out);
+            return std::memcmp(out.data(), want.data(),
+                               out.size() * sizeof(float)) == 0;
         });
 }
 
@@ -424,7 +446,8 @@ benchAxpy(std::vector<BenchEntry> &entries, std::size_t f)
     const double ops = 2.0 * static_cast<double>(f);
     std::vector<float> y = y0;
     appendEntries(
-        entries, "axpy_f32", shape, bytes, ops,
+        entries, "axpy_f32", &kernels::KernelTable::axpy_f32, shape, bytes,
+        ops,
         [&](const kernels::KernelTable &kt) {
             return nsPerCall([&] { runAll(kt, y); }, rows);
         },
@@ -443,8 +466,9 @@ runJsonHarness(const std::string &path)
     benchCcs(entries);
     benchLutF32(entries, 768);
     benchLutF32(entries, 3072);
-    benchLutI8(entries, 768);
-    benchLutI8(entries, 3072);
+    benchLutI8(entries, 768, 0);
+    benchLutI8(entries, 3072, 0);
+    benchLutI8(entries, 768, 6);
     benchAxpy(entries, 768);
     benchAxpy(entries, 3072);
 

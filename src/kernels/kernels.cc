@@ -1,5 +1,6 @@
 #include "kernels/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 
@@ -37,34 +38,54 @@ scalarCcsArgmin(const float *v, const float *centroids,
 }
 
 void
-scalarLutAccumF32(const std::uint16_t *idx_row, std::size_t cb_count,
+scalarLutAccumF32(const std::uint16_t *idx, std::size_t idx_stride,
+                  std::size_t nrows, std::size_t cb_count,
                   std::size_t ct_count, const float *lut,
-                  std::size_t f_dim, std::size_t col0,
-                  std::size_t f_count, float *dst)
+                  std::size_t f_dim, std::size_t col0, std::size_t f_count,
+                  float *dst, std::size_t dst_stride)
 {
-    for (std::size_t j = 0; j < f_count; ++j)
-        dst[j] = 0.0f;
-    for (std::size_t cb = 0; cb < cb_count; ++cb) {
-        const float *src =
-            lut + (cb * ct_count + idx_row[cb]) * f_dim + col0;
+    for (std::size_t r = 0; r < nrows; ++r) {
+        const std::uint16_t *idx_row = idx + r * idx_stride;
+        float *out = dst + r * dst_stride;
         for (std::size_t j = 0; j < f_count; ++j)
-            dst[j] += src[j];
+            out[j] = 0.0f;
+        for (std::size_t cb = 0; cb < cb_count; ++cb) {
+            const float *src =
+                lut + (cb * ct_count + idx_row[cb]) * f_dim + col0;
+            for (std::size_t j = 0; j < f_count; ++j)
+                out[j] += src[j];
+        }
     }
 }
 
 void
-scalarLutAccumI8(const std::uint16_t *idx_row, std::size_t cb_count,
+scalarLutAccumI8(const std::uint16_t *idx, std::size_t idx_stride,
+                 std::size_t nrows, std::size_t cb_count,
                  std::size_t ct_count, const std::int8_t *lut,
                  std::size_t f_dim, std::size_t col0, std::size_t f_count,
-                 std::int32_t *acc)
+                 float scale, float *dst, std::size_t dst_stride)
 {
-    for (std::size_t j = 0; j < f_count; ++j)
-        acc[j] = 0;
-    for (std::size_t cb = 0; cb < cb_count; ++cb) {
-        const std::int8_t *src =
-            lut + (cb * ct_count + idx_row[cb]) * f_dim + col0;
-        for (std::size_t j = 0; j < f_count; ++j)
-            acc[j] += src[j];
+    // Columns are independent, so a fixed-size chunk of accumulators
+    // reproduces the whole-row sums exactly.
+    constexpr std::size_t kChunk = 256;
+    std::int32_t acc[kChunk];
+    for (std::size_t r = 0; r < nrows; ++r) {
+        const std::uint16_t *idx_row = idx + r * idx_stride;
+        float *out = dst + r * dst_stride;
+        for (std::size_t c0 = 0; c0 < f_count; c0 += kChunk) {
+            const std::size_t w = std::min(kChunk, f_count - c0);
+            const std::int8_t *cols = lut + col0 + c0;
+            for (std::size_t j = 0; j < w; ++j)
+                acc[j] = 0;
+            for (std::size_t cb = 0; cb < cb_count; ++cb) {
+                const std::int8_t *src =
+                    cols + (cb * ct_count + idx_row[cb]) * f_dim;
+                for (std::size_t j = 0; j < w; ++j)
+                    acc[j] += src[j];
+            }
+            for (std::size_t j = 0; j < w; ++j)
+                out[c0 + j] = static_cast<float>(acc[j]) * scale;
+        }
     }
 }
 

@@ -46,28 +46,35 @@ using CcsArgminFn = std::size_t (*)(const float *v, const float *centroids,
                                     std::size_t v_len);
 
 /**
- * FP32 LUT gather-accumulate for one output row: zero-fills
- * dst[0, f_count) then, for each codebook cb in ascending order, adds
- * lut[(cb * ct_count + idx_row[cb]) * f_dim + col0 + j] to dst[j].
- * `f_dim` is the full LUT row width; [col0, col0 + f_count) selects
- * the tile columns this call reduces.
+ * FP32 LUT gather-accumulate over a block of @p nrows output rows.
+ * Row r reads its cb_count indices at idx + r * idx_stride and writes
+ * dst[r * dst_stride + j] for j in [0, f_count): zero, then for each
+ * codebook cb in ascending order,
+ * += lut[(cb * ct_count + idx_r[cb]) * f_dim + col0 + j]. `f_dim` is
+ * the full LUT row width; [col0, col0 + f_count) selects the tile
+ * columns this call reduces.
  */
-using LutAccumF32Fn = void (*)(const std::uint16_t *idx_row,
+using LutAccumF32Fn = void (*)(const std::uint16_t *idx,
+                               std::size_t idx_stride, std::size_t nrows,
                                std::size_t cb_count, std::size_t ct_count,
                                const float *lut, std::size_t f_dim,
                                std::size_t col0, std::size_t f_count,
-                               float *dst);
+                               float *dst, std::size_t dst_stride);
 
 /**
- * INT8 LUT gather-accumulate: same traversal as LutAccumF32Fn but
- * accumulating sign-extended INT8 entries into INT32 accumulators
- * (zero-filled first). The caller applies the dequantization scale.
+ * INT8 LUT gather-accumulate over a row block: the same traversal as
+ * LutAccumF32Fn, but each column sums sign-extended INT8 entries into
+ * an INT32 accumulator (exact), and the kernel writes the dequantized
+ * float(acc) * scale itself. Vector loads stay inside the LUT rows
+ * being gathered, so the table needs no padding past its last row.
  */
-using LutAccumI8Fn = void (*)(const std::uint16_t *idx_row,
+using LutAccumI8Fn = void (*)(const std::uint16_t *idx,
+                              std::size_t idx_stride, std::size_t nrows,
                               std::size_t cb_count, std::size_t ct_count,
                               const std::int8_t *lut, std::size_t f_dim,
                               std::size_t col0, std::size_t f_count,
-                              std::int32_t *acc);
+                              float scale, float *dst,
+                              std::size_t dst_stride);
 
 /** y[j] += a * x[j] for j in [0, n): the GEMM inner kernel. */
 using AxpyF32Fn = void (*)(float a, const float *x, float *y,

@@ -7,8 +7,11 @@
  *
  * Bit-exactness with the scalar reference is preserved by keeping the
  * per-output floating-point operation order identical:
- *  - LUT gather-accumulate and axpy vectorize across independent
+ *  - FP32 LUT gather-accumulate and axpy vectorize across independent
  *    output columns, so each column sees the exact scalar sequence.
+ *  - INT8 LUT gather-accumulate sums integers, exact in any grouping,
+ *    so it may split codebooks and rows into blocks freely; only the
+ *    final float(acc) * scale is floating point.
  *  - The CCS dot product is a reduction over the sub-vector, so the
  *    V=4 fast path transposes blocks of eight centroids into four
  *    element-planes and evaluates ((v0*c0 + v1*c1) + v2*c2) + v3*c3
@@ -21,6 +24,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "kernels/kernels_impl.h"
@@ -169,52 +174,242 @@ avx2CcsArgmin(const float *v, const float *centroids, const float *norms2,
 }
 
 void
-avx2LutAccumF32(const std::uint16_t *idx_row, std::size_t cb_count,
+avx2LutAccumF32(const std::uint16_t *idx, std::size_t idx_stride,
+                std::size_t nrows, std::size_t cb_count,
                 std::size_t ct_count, const float *lut, std::size_t f_dim,
-                std::size_t col0, std::size_t f_count, float *dst)
+                std::size_t col0, std::size_t f_count, float *dst,
+                std::size_t dst_stride)
 {
     const std::size_t vec_end = f_count - f_count % 8;
-    for (std::size_t j = 0; j < f_count; ++j)
-        dst[j] = 0.0f;
-    for (std::size_t cb = 0; cb < cb_count; ++cb) {
-        const float *src =
-            lut + (cb * ct_count + idx_row[cb]) * f_dim + col0;
-        for (std::size_t j = 0; j < vec_end; j += 8) {
-            const __m256 acc = _mm256_loadu_ps(dst + j);
-            _mm256_storeu_ps(
-                dst + j, _mm256_add_ps(acc, _mm256_loadu_ps(src + j)));
+    for (std::size_t r = 0; r < nrows; ++r) {
+        const std::uint16_t *idx_row = idx + r * idx_stride;
+        float *out = dst + r * dst_stride;
+        for (std::size_t j = 0; j < f_count; ++j)
+            out[j] = 0.0f;
+        for (std::size_t cb = 0; cb < cb_count; ++cb) {
+            const float *src =
+                lut + (cb * ct_count + idx_row[cb]) * f_dim + col0;
+            for (std::size_t j = 0; j < vec_end; j += 8) {
+                const __m256 acc = _mm256_loadu_ps(out + j);
+                _mm256_storeu_ps(
+                    out + j,
+                    _mm256_add_ps(acc, _mm256_loadu_ps(src + j)));
+            }
+            for (std::size_t j = vec_end; j < f_count; ++j)
+                out[j] += src[j];
         }
-        for (std::size_t j = vec_end; j < f_count; ++j)
-            dst[j] += src[j];
     }
 }
 
+/** 16 INT8 entries at @p p sign-extended and added to (lo, hi). */
+inline void
+accumulate16(const std::int8_t *p, __m256i &lo, __m256i &hi)
+{
+    const __m128i bytes =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+    lo = _mm256_add_epi32(lo, _mm256_cvtepi8_epi32(bytes));
+    hi = _mm256_add_epi32(
+        hi, _mm256_cvtepi8_epi32(_mm_srli_si128(bytes, 8)));
+}
+
+/** 8 INT8 entries at @p p sign-extended and added to @p acc. */
+inline void
+accumulate8(const std::int8_t *p, __m256i &acc)
+{
+    acc = _mm256_add_epi32(
+        acc, _mm256_cvtepi8_epi32(_mm_loadl_epi64(
+                 reinterpret_cast<const __m128i *>(p))));
+}
+
+/** 16 INT8 entries at @p p sign-extended and added as INT16 lanes. */
+inline void
+accumulate16x16(const std::int8_t *p, __m256i &acc16)
+{
+    acc16 = _mm256_add_epi16(
+        acc16, _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                   reinterpret_cast<const __m128i *>(p))));
+}
+
+/** Dequantizes 8 INT32 sums: float(acc) * scale, lane-wise. */
+inline __m256
+dequant8(__m256i acc, __m256 scale)
+{
+    return _mm256_mul_ps(_mm256_cvtepi32_ps(acc), scale);
+}
+
+/**
+ * Most codebooks one call of accumulateRows may sum into INT16 lanes:
+ * 256 * 128 still fits, so no INT16 sum can overflow.
+ */
+constexpr std::size_t kMaxChunk16 = 256;
+
+/**
+ * Adds codebooks [0, cbn) of kRows consecutive rows into their window
+ * sums @p acc (kHalves INT32 registers per row). The rows share the
+ * loop and the codebook base pointer, and their independent sums keep
+ * the gathers overlapping. An 8-byte window sums straight into INT32;
+ * a 16-byte window sums into 16 INT16 lanes (one widening per load)
+ * that are widened into the INT32 sums once per call.
+ */
+template <int kHalves, int kRows>
+inline void
+accumulateRows(const std::uint16_t *idx, std::size_t idx_stride,
+               std::size_t cbn, const std::int8_t *chunk,
+               std::size_t f_dim, std::size_t cb_step,
+               __m256i (*acc)[kHalves])
+{
+    __m256i a[kRows];
+#pragma GCC unroll 4
+    for (int i = 0; i < kRows; ++i)
+        a[i] = kHalves == 1 ? acc[i][0] : _mm256_setzero_si256();
+    const std::int8_t *base = chunk;
+    for (std::size_t cb = 0; cb < cbn; ++cb) {
+#pragma GCC unroll 4
+        for (int i = 0; i < kRows; ++i) {
+            const std::int8_t *src =
+                base + idx[i * idx_stride + cb] * f_dim;
+            if constexpr (kHalves == 1)
+                accumulate8(src, a[i]);
+            else
+                accumulate16x16(src, a[i]);
+        }
+        base += cb_step;
+    }
+#pragma GCC unroll 4
+    for (int i = 0; i < kRows; ++i) {
+        if constexpr (kHalves == 1) {
+            acc[i][0] = a[i];
+        } else {
+            acc[i][0] = _mm256_add_epi32(
+                acc[i][0],
+                _mm256_cvtepi16_epi32(_mm256_castsi256_si128(a[i])));
+            acc[i][1] = _mm256_add_epi32(
+                acc[i][1],
+                _mm256_cvtepi16_epi32(_mm256_extracti128_si256(a[i], 1)));
+        }
+    }
+}
+
+/**
+ * One column window of a row block: sums the kHalves * 8 bytes at
+ * @p win (the window's offset in every LUT row) for each row, then
+ * writes columns [off, off + w) of the window to dst. A narrow window
+ * uses a few bytes of every cache line it touches, so rows go in
+ * blocks of kRowBlock and codebooks in chunks of kCbChunk: one chunk's
+ * kCbChunk * ct_count candidate rows stay in L1 while every row of the
+ * block reads them, four rows at a time. The INT32 sums are exact, so
+ * the split changes no bit of the result.
+ */
+template <int kHalves>
 void
-avx2LutAccumI8(const std::uint16_t *idx_row, std::size_t cb_count,
+accumulateWindow(const std::uint16_t *idx, std::size_t idx_stride,
+                 std::size_t nrows, std::size_t cb_count,
+                 std::size_t cb_step, const std::int8_t *win,
+                 std::size_t f_dim, std::size_t off, std::size_t w,
+                 __m256 vscale, float *dst, std::size_t dst_stride)
+{
+    constexpr std::size_t kRowBlock = 128;
+    constexpr std::size_t kCbChunk = 16;
+    static_assert(kCbChunk <= kMaxChunk16, "INT16 window sums overflow");
+    __m256i acc[kRowBlock][kHalves];
+    for (std::size_t r0 = 0; r0 < nrows; r0 += kRowBlock) {
+        const std::size_t rn = std::min(kRowBlock, nrows - r0);
+        for (std::size_t r = 0; r < rn; ++r) {
+            for (int h = 0; h < kHalves; ++h)
+                acc[r][h] = _mm256_setzero_si256();
+        }
+        for (std::size_t cb0 = 0; cb0 < cb_count; cb0 += kCbChunk) {
+            const std::size_t cbn = std::min(kCbChunk, cb_count - cb0);
+            const std::int8_t *chunk = win + cb0 * cb_step;
+            const std::uint16_t *rows = idx + r0 * idx_stride + cb0;
+            std::size_t r = 0;
+            for (; r + 4 <= rn; r += 4) {
+                accumulateRows<kHalves, 4>(rows + r * idx_stride,
+                                           idx_stride, cbn, chunk, f_dim,
+                                           cb_step, acc + r);
+            }
+            for (; r < rn; ++r) {
+                accumulateRows<kHalves, 1>(rows + r * idx_stride,
+                                           idx_stride, cbn, chunk, f_dim,
+                                           cb_step, acc + r);
+            }
+        }
+        for (std::size_t r = 0; r < rn; ++r) {
+            float *out = dst + (r0 + r) * dst_stride;
+            alignas(32) float block[kHalves * 8];
+            for (int h = 0; h < kHalves; ++h) {
+                _mm256_store_ps(block + 8 * h,
+                                dequant8(acc[r][h], vscale));
+            }
+            std::memcpy(out, block + off, w * sizeof(float));
+        }
+    }
+}
+
+/**
+ * INT8 row-block kernel. Columns go in blocks whose INT32 sums stay in
+ * registers across the codebook loop: two 16-column blocks at a time
+ * while 32 columns remain (sharing the index loads), then windows of
+ * 16 columns, or 8 when at most 8 remain. Every load is a window
+ * inside the gathered LUT row: a window that would run past f_dim
+ * reads the last bytes of the row instead and takes its columns from
+ * an offset. INT32 sums are exact and cvtepi32_ps/mul_ps round like
+ * the scalar static_cast<float>(acc) * scale, so the output is
+ * bit-identical. Rows narrower than 16 columns take the scalar
+ * reference.
+ */
+void
+avx2LutAccumI8(const std::uint16_t *idx, std::size_t idx_stride,
+               std::size_t nrows, std::size_t cb_count,
                std::size_t ct_count, const std::int8_t *lut,
                std::size_t f_dim, std::size_t col0, std::size_t f_count,
-               std::int32_t *acc)
+               float scale, float *dst, std::size_t dst_stride)
 {
-    const std::size_t vec_end = f_count - f_count % 8;
-    for (std::size_t j = 0; j < f_count; ++j)
-        acc[j] = 0;
-    for (std::size_t cb = 0; cb < cb_count; ++cb) {
-        const std::int8_t *src =
-            lut + (cb * ct_count + idx_row[cb]) * f_dim + col0;
-        for (std::size_t j = 0; j < vec_end; j += 8) {
-            // 8 INT8 entries sign-extended to 32-bit lanes.
-            const __m128i bytes = _mm_loadl_epi64(
-                reinterpret_cast<const __m128i *>(src + j));
-            const __m256i wide = _mm256_cvtepi8_epi32(bytes);
-            const __m256i sum = _mm256_add_epi32(
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(acc + j)),
-                wide);
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + j),
-                                sum);
+    if (nrows == 0)
+        return;
+    if (f_dim < 16) {
+        scalarLutAccumI8(idx, idx_stride, nrows, cb_count, ct_count, lut,
+                         f_dim, col0, f_count, scale, dst, dst_stride);
+        return;
+    }
+    const std::size_t cb_step = ct_count * f_dim;
+    const __m256 vscale = _mm256_set1_ps(scale);
+    const std::size_t wide_end = f_count - f_count % 32;
+    for (std::size_t r = 0; r < nrows; ++r) {
+        const std::uint16_t *idx_row = idx + r * idx_stride;
+        float *out = dst + r * dst_stride;
+        for (std::size_t c = 0; c < wide_end; c += 32) {
+            const std::int8_t *base = lut + col0 + c;
+            __m256i a_lo = _mm256_setzero_si256();
+            __m256i a_hi = _mm256_setzero_si256();
+            __m256i b_lo = _mm256_setzero_si256();
+            __m256i b_hi = _mm256_setzero_si256();
+            for (std::size_t cb = 0; cb < cb_count; ++cb) {
+                const std::int8_t *src = base + idx_row[cb] * f_dim;
+                accumulate16(src, a_lo, a_hi);
+                accumulate16(src + 16, b_lo, b_hi);
+                base += cb_step;
+            }
+            _mm256_storeu_ps(out + c, dequant8(a_lo, vscale));
+            _mm256_storeu_ps(out + c + 8, dequant8(a_hi, vscale));
+            _mm256_storeu_ps(out + c + 16, dequant8(b_lo, vscale));
+            _mm256_storeu_ps(out + c + 24, dequant8(b_hi, vscale));
         }
-        for (std::size_t j = vec_end; j < f_count; ++j)
-            acc[j] += src[j];
+    }
+    for (std::size_t c = wide_end; c < f_count; c += 16) {
+        const std::size_t w = std::min<std::size_t>(16, f_count - c);
+        const std::size_t span = w <= 8 ? 8 : 16;
+        const std::size_t win = std::min(col0 + c, f_dim - span);
+        const std::size_t off = col0 + c - win;
+        if (span == 8) {
+            accumulateWindow<1>(idx, idx_stride, nrows, cb_count, cb_step,
+                                lut + win, f_dim, off, w, vscale, dst + c,
+                                dst_stride);
+        } else {
+            accumulateWindow<2>(idx, idx_stride, nrows, cb_count, cb_step,
+                                lut + win, f_dim, off, w, vscale, dst + c,
+                                dst_stride);
+        }
     }
 }
 

@@ -43,21 +43,26 @@ storeF32(float *p, V8f v)
 }
 
 void
-genericLutAccumF32(const std::uint16_t *idx_row, std::size_t cb_count,
+genericLutAccumF32(const std::uint16_t *idx, std::size_t idx_stride,
+                   std::size_t nrows, std::size_t cb_count,
                    std::size_t ct_count, const float *lut,
                    std::size_t f_dim, std::size_t col0,
-                   std::size_t f_count, float *dst)
+                   std::size_t f_count, float *dst, std::size_t dst_stride)
 {
     const std::size_t vec_end = f_count - f_count % 8;
-    for (std::size_t j = 0; j < f_count; ++j)
-        dst[j] = 0.0f;
-    for (std::size_t cb = 0; cb < cb_count; ++cb) {
-        const float *src =
-            lut + (cb * ct_count + idx_row[cb]) * f_dim + col0;
-        for (std::size_t j = 0; j < vec_end; j += 8)
-            storeF32(dst + j, loadF32(dst + j) + loadF32(src + j));
-        for (std::size_t j = vec_end; j < f_count; ++j)
-            dst[j] += src[j];
+    for (std::size_t r = 0; r < nrows; ++r) {
+        const std::uint16_t *idx_row = idx + r * idx_stride;
+        float *out = dst + r * dst_stride;
+        for (std::size_t j = 0; j < f_count; ++j)
+            out[j] = 0.0f;
+        for (std::size_t cb = 0; cb < cb_count; ++cb) {
+            const float *src =
+                lut + (cb * ct_count + idx_row[cb]) * f_dim + col0;
+            for (std::size_t j = 0; j < vec_end; j += 8)
+                storeF32(out + j, loadF32(out + j) + loadF32(src + j));
+            for (std::size_t j = vec_end; j < f_count; ++j)
+                out[j] += src[j];
+        }
     }
 }
 

@@ -22,15 +22,19 @@ std::size_t scalarCcsArgmin(const float *v, const float *centroids,
                             const float *norms2, std::size_t ct_count,
                             std::size_t v_len);
 
-void scalarLutAccumF32(const std::uint16_t *idx_row, std::size_t cb_count,
+void scalarLutAccumF32(const std::uint16_t *idx, std::size_t idx_stride,
+                       std::size_t nrows, std::size_t cb_count,
                        std::size_t ct_count, const float *lut,
                        std::size_t f_dim, std::size_t col0,
-                       std::size_t f_count, float *dst);
+                       std::size_t f_count, float *dst,
+                       std::size_t dst_stride);
 
-void scalarLutAccumI8(const std::uint16_t *idx_row, std::size_t cb_count,
+void scalarLutAccumI8(const std::uint16_t *idx, std::size_t idx_stride,
+                      std::size_t nrows, std::size_t cb_count,
                       std::size_t ct_count, const std::int8_t *lut,
                       std::size_t f_dim, std::size_t col0,
-                      std::size_t f_count, std::int32_t *acc);
+                      std::size_t f_count, float scale, float *dst,
+                      std::size_t dst_stride);
 
 void scalarAxpyF32(float a, const float *x, float *y, std::size_t n);
 

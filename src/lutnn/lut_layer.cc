@@ -120,11 +120,10 @@ LutLayer::lookup(const IndexMatrix &indices) const
                            sizeof(float));
     parallelForBlocked(
         indices.rows, kRowGrain, [&](std::size_t begin, std::size_t end) {
-            for (std::size_t r = begin; r < end; ++r) {
-                kt.lut_accum_f32(indices.data.data() + r * indices.cols,
-                                 indices.cols, ct_count, lut_.data(),
-                                 f_count, 0, f_count, out.rowPtr(r));
-            }
+            kt.lut_accum_f32(indices.data.data() + begin * indices.cols,
+                             indices.cols, end - begin, indices.cols,
+                             ct_count, lut_.data(), f_count, 0, f_count,
+                             out.rowPtr(begin), f_count);
         });
     addBiasRows(out);
     return out;
@@ -147,17 +146,11 @@ LutLayer::lookupQuantized(const IndexMatrix &indices) const
                            sizeof(std::int8_t));
     parallelForBlocked(
         indices.rows, kRowGrain, [&](std::size_t begin, std::size_t end) {
-            // One accumulator per block, zero-filled by the kernel on
-            // every row.
-            std::vector<std::int32_t> acc(f_count);
-            for (std::size_t r = begin; r < end; ++r) {
-                kt.lut_accum_i8(indices.data.data() + r * indices.cols,
-                                indices.cols, ct_count, qlut.data.data(),
-                                f_count, 0, f_count, acc.data());
-                float *dst = out.rowPtr(r);
-                for (std::size_t f = 0; f < f_count; ++f)
-                    dst[f] = static_cast<float>(acc[f]) * qlut.scale;
-            }
+            kt.lut_accum_i8(indices.data.data() + begin * indices.cols,
+                            indices.cols, end - begin, indices.cols,
+                            ct_count, qlut.data.data(), f_count, 0,
+                            f_count, qlut.scale, out.rowPtr(begin),
+                            f_count);
         });
     addBiasRows(out);
     return out;

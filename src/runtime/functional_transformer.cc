@@ -1,6 +1,7 @@
 #include "functional_transformer.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
 #include "plan/lowering.h"
@@ -217,12 +218,12 @@ FunctionalTransformer::forward(const Tensor &tokens, std::size_t seq_len,
                     static_cast<std::uint64_t>(roleIndex(node.role));
                 const bool engine = transfer_scheduler_ != nullptr ||
                                     resident_luts_ != nullptr;
-                const DistributedLutResult result = runDistributedLut(
+                DistributedLutResult result = runDistributedLut(
                     platform_, lut, idx,
                     mappings_[node.layer][roleIndex(node.role)],
                     /*quantized=*/true, nullptr, {},
                     engine ? &ctx : nullptr);
-                cur = result.output;
+                cur = std::move(result.output);
                 {
                     MutexLock lock(transfer_mu_);
                     last_transfer_.bursts += result.transfer.bursts;
@@ -262,7 +263,7 @@ FunctionalTransformer::forward(const Tensor &tokens, std::size_t seq_len,
             const FunctionalBlockWeights &w = blocks_[node.layer];
             switch (node.ew_kind) {
             case ElementwiseOpKind::Gelu:
-                cur = gelu(cur);
+                cur = gelu(std::move(cur));
                 break;
             case ElementwiseOpKind::ResidualLn1:
                 x = layerNormRows(add(x, cur), w.ln1_gamma, w.ln1_beta);

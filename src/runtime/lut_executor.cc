@@ -115,39 +115,30 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
 
     // The bit-faithful reduction of @p nrows index rows of one group
     // (row-major from idx0, stride indices.cols) against lane l's LUT
-    // columns, written row-major into dst with the given stride. The
-    // index base is a parameter so the same kernel loop runs against
-    // the host tensor or a wave's staged copy — identical u16 values
-    // either way. The dispatched micro-kernels guarantee the operation
-    // order is identical no matter which PE — or the host — executes
-    // the rows, and no matter which ISA variant runs them, which is what
-    // keeps staged, degraded-mode and fallback outputs bit-exact.
-    // @p acc holds fs_tile INT32 accumulators (quantized runs only).
+    // columns, written row-major into dst with the given stride: one
+    // row-block kernel call. The index base is a parameter so the same
+    // call runs against the host tensor or a wave's staged copy —
+    // identical u16 values either way. The dispatched micro-kernels
+    // guarantee the operation order is identical no matter which PE —
+    // or the host — executes the rows, and no matter which ISA variant
+    // runs them, which is what keeps staged, degraded-mode and fallback
+    // outputs bit-exact. Quantized runs reduce INT8 entries into INT32
+    // accumulators that the kernel dequantizes on the way out.
     const kernels::KernelTable &kt = kernels::best();
-    kernels::recordLutWork(shape.n, cb, mapping.fs_tile, elem);
+    kernels::recordLutWork(shape.n, cb, shape.f, elem);
     const auto computeRows = [&](const std::uint16_t *idx0,
                                  std::size_t nrows, float *dst,
-                                 std::size_t stride, std::size_t l,
-                                 std::int32_t *acc) {
+                                 std::size_t stride, std::size_t l) {
         const std::size_t col0 = l * mapping.fs_tile;
         if (quantized) {
-            // INT8 LUT entries, INT32 on-PE accumulators; the host
-            // dequantizes after gathering.
-            const float scale = layer.quantScale();
-            for (std::size_t r = 0; r < nrows; ++r) {
-                kt.lut_accum_i8(idx0 + r * indices.cols, cb, shape.ct,
-                                layer.quantLutData(), shape.f, col0,
-                                mapping.fs_tile, acc);
-                float *row = dst + r * stride;
-                for (std::size_t fcol = 0; fcol < mapping.fs_tile; ++fcol)
-                    row[fcol] = static_cast<float>(acc[fcol]) * scale;
-            }
+            kt.lut_accum_i8(idx0, indices.cols, nrows, cb, shape.ct,
+                            layer.quantLutData(), shape.f, col0,
+                            mapping.fs_tile, layer.quantScale(), dst,
+                            stride);
         } else {
-            for (std::size_t r = 0; r < nrows; ++r) {
-                kt.lut_accum_f32(idx0 + r * indices.cols, cb, shape.ct,
-                                 layer.lutData(), shape.f, col0,
-                                 mapping.fs_tile, dst + r * stride);
-            }
+            kt.lut_accum_f32(idx0, indices.cols, nrows, cb, shape.ct,
+                             layer.lutData(), shape.f, col0,
+                             mapping.fs_tile, dst, stride);
         }
     };
 
@@ -266,9 +257,8 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
         const std::size_t l = tile % lanes;
         float *dst = out.rowPtr((tile / lanes) * mapping.ns_tile + row0) +
                      l * mapping.fs_tile;
-        std::vector<std::int32_t> acc(quantized ? mapping.fs_tile : 0);
         if (faults == nullptr || host_fallback) {
-            computeRows(idx0, nrows, dst, out.cols(), l, acc.data());
+            computeRows(idx0, nrows, dst, out.cols(), l);
             return;
         }
         // Physical executor of this logical tile (survivor under
@@ -289,7 +279,7 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
                 ++oc.transient;
             } else {
                 computeRows(idx0, nrows, scratch.data(), mapping.fs_tile,
-                            l, acc.data());
+                            l);
                 // The PE stamps a checksum on the tile it computed;
                 // corruption strikes after that stamp (in the resident
                 // LUT scrub window or on the wire), so the host-side
@@ -330,7 +320,7 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
             }
             if (attempt == retry.max_retries) {
                 oc.escalated = true;
-                computeRows(idx0, nrows, dst, out.cols(), l, acc.data());
+                computeRows(idx0, nrows, dst, out.cols(), l);
                 return;
             }
             // Capped exponential backoff, then re-execute.
@@ -419,7 +409,6 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
     // ---- Fault ladder, stage 2: accounting ---------------------------
     if (host_fallback) {
         // The host served the whole operator.
-        kernels::recordLutWork(shape.n, cb, shape.f, elem);
         result.fault.host_fallback = true;
         reg.counter("fault.lut.host_fallbacks").add();
         span.attr("host_fallback", std::uint64_t{1});

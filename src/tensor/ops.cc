@@ -1,12 +1,37 @@
 #include "ops.h"
 
 #include <cmath>
+#include <utility>
+
+#include "common/parallel.h"
 
 namespace pimdl {
 
 namespace {
 
 constexpr float kGeluC = 0.7978845608028654f; // sqrt(2/pi)
+
+/**
+ * Rows per parallel block of the row-wise ops: a 16-row serving batch
+ * stays inline on the caller, a 1024-row forward spreads over workers.
+ * Every row is computed by the same per-row code either way.
+ */
+constexpr std::size_t kRowGrain = 64;
+
+/** out = gelu(x) elementwise, row-parallel; out may be x itself. */
+void
+geluRows(const Tensor &x, Tensor &out)
+{
+    const std::size_t cols = x.cols();
+    parallelForBlocked(
+        x.rows(), kRowGrain, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin * cols; i < end * cols; ++i) {
+                const float v = x.data()[i];
+                const float inner = kGeluC * (v + 0.044715f * v * v * v);
+                out.data()[i] = 0.5f * v * (1.0f + std::tanh(inner));
+            }
+        });
+}
 
 } // namespace
 
@@ -43,12 +68,15 @@ Tensor
 gelu(const Tensor &x)
 {
     Tensor out(x.rows(), x.cols());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        const float v = x.data()[i];
-        const float inner = kGeluC * (v + 0.044715f * v * v * v);
-        out.data()[i] = 0.5f * v * (1.0f + std::tanh(inner));
-    }
+    geluRows(x, out);
     return out;
+}
+
+Tensor
+gelu(Tensor &&x)
+{
+    geluRows(x, x);
+    return std::move(x);
 }
 
 Tensor
@@ -94,23 +122,28 @@ layerNormRows(const Tensor &x, const std::vector<float> &gamma,
     PIMDL_REQUIRE(gamma.size() == x.cols() && beta.size() == x.cols(),
                   "layernorm parameter length mismatch");
     Tensor out(x.rows(), x.cols());
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        const float *src = x.rowPtr(r);
-        float *dst = out.rowPtr(r);
-        double sum = 0.0;
-        for (std::size_t c = 0; c < x.cols(); ++c)
-            sum += src[c];
-        const float mu = static_cast<float>(sum / x.cols());
-        double var = 0.0;
-        for (std::size_t c = 0; c < x.cols(); ++c) {
-            const double d = src[c] - mu;
-            var += d * d;
-        }
-        const float inv_sigma = 1.0f /
-            std::sqrt(static_cast<float>(var / x.cols()) + epsilon);
-        for (std::size_t c = 0; c < x.cols(); ++c)
-            dst[c] = (src[c] - mu) * inv_sigma * gamma[c] + beta[c];
-    }
+    parallelForBlocked(
+        x.rows(), kRowGrain, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t r = begin; r < end; ++r) {
+                const float *src = x.rowPtr(r);
+                float *dst = out.rowPtr(r);
+                double sum = 0.0;
+                for (std::size_t c = 0; c < x.cols(); ++c)
+                    sum += src[c];
+                const float mu = static_cast<float>(sum / x.cols());
+                double var = 0.0;
+                for (std::size_t c = 0; c < x.cols(); ++c) {
+                    const double d = src[c] - mu;
+                    var += d * d;
+                }
+                const float inv_sigma =
+                    1.0f / std::sqrt(static_cast<float>(var / x.cols()) +
+                                     epsilon);
+                for (std::size_t c = 0; c < x.cols(); ++c)
+                    dst[c] = (src[c] - mu) * inv_sigma * gamma[c] +
+                             beta[c];
+            }
+        });
     return out;
 }
 

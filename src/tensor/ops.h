@@ -26,6 +26,13 @@ Tensor relu(const Tensor &x);
 /** Applies the tanh-approximated GELU elementwise (as in BERT). */
 Tensor gelu(const Tensor &x);
 
+/**
+ * The same GELU computed in place in @p x's buffer, so a forward that
+ * replaces an activation with its GELU allocates no second tensor.
+ * Bit-identical to gelu(const Tensor &).
+ */
+Tensor gelu(Tensor &&x);
+
 /** Derivative of the tanh-approximated GELU, elementwise. */
 Tensor geluGrad(const Tensor &x);
 

@@ -11,6 +11,7 @@
 
 #include "fault/fault.h"
 #include "lutnn/converter.h"
+#include "obs/metrics.h"
 #include "plan/schedule.h"
 #include "runtime/lut_executor.h"
 
@@ -401,6 +402,35 @@ TEST(FaultExecutor, HostFallbackAppliesBiasOnce)
     // The host serves every tile through the same bias pass: a missed or
     // doubled bias would shift every element.
     EXPECT_EQ(maxAbsDiff(clean.output, fallback.output), 0.0f);
+}
+
+TEST(FaultExecutor, LutWorkCountedOncePerRun)
+{
+    // Every run reduces n x cb x f LUT entries once, whichever path
+    // served its tiles: all lanes count, retries and host fallback add
+    // nothing.
+    const Workload w;
+    obs::Counter &elements =
+        obs::MetricsRegistry::instance().counter("kernels.lut.elements");
+    const std::uint64_t want = w.idx.rows * w.idx.cols *
+                               w.layer.shape().output_dim;
+
+    FaultConfig cfg;
+    cfg.pe_transient_rate = 0.2;
+    cfg.transfer_corrupt_rate = 0.2;
+    const FaultInjector faulted(cfg);
+    FaultInjector dead{FaultConfig{}};
+    for (std::size_t pe = 0; pe < w.pes; ++pe)
+        dead.forceFailPe(pe);
+    const FaultInjector *runs[] = {nullptr, &faulted, &dead};
+    for (const FaultInjector *faults : runs) {
+        const std::uint64_t before = elements.value();
+        const DistributedLutResult r = runDistributedLut(
+            upmemPlatform(), w.layer, w.idx, w.mapping, true, faults);
+        EXPECT_EQ(elements.value() - before, want);
+        EXPECT_EQ(r.fault.retries > 0, faults == &faulted);
+        EXPECT_EQ(r.fault.host_fallback, faults == &dead);
+    }
 }
 
 TEST(FaultExecutor, StallsAddLatencyWithoutRetries)

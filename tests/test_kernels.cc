@@ -75,6 +75,46 @@ centroidNorms(const std::vector<float> &centroids, std::size_t ct_count,
     return norms;
 }
 
+/** Bitwise equality of two float buffers (empty ones included). */
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+                0);
+}
+
+/** A column window [col0, col0 + f_count) of a LUT row. */
+struct Window
+{
+    std::size_t col0;
+    std::size_t f_count;
+};
+
+/**
+ * The windows a row-block kernel sees for LUT rows of width f_dim:
+ * the whole row, an offset odd tail, and the executor's tile widths
+ * 6, 9 and 12 at the first, a middle and the last lane (the last one
+ * ends exactly at f_dim).
+ */
+std::vector<Window>
+tileWindows(std::size_t f_dim)
+{
+    std::vector<Window> wins = {{0, f_dim}};
+    if (f_dim > 2)
+        wins.push_back({f_dim / 3, f_dim - f_dim / 3});
+    for (std::size_t fs : {6u, 9u, 12u}) {
+        if (fs > f_dim)
+            continue;
+        const std::size_t lanes = f_dim / fs;
+        wins.push_back({0, fs});
+        wins.push_back({(lanes / 2) * fs, fs});
+        wins.push_back({f_dim - fs, fs});
+    }
+    return wins;
+}
+
 } // namespace
 
 TEST_F(KernelDispatch, ScalarAndGenericAlwaysAvailable)
@@ -189,32 +229,58 @@ TEST_F(KernelParity, LutAccumF32OddShapes)
 {
     Rng rng(43);
     const std::size_t ct_count = 16;
-    const std::size_t f_dims[] = {1, 5, 8, 9, 31, 64, 257};
+    const std::size_t f_dims[] = {1, 5, 8, 9, 15, 31, 64, 257};
     for (std::size_t f_dim : f_dims) {
         for (std::size_t cb_count : {1u, 3u, 12u}) {
             const auto lut =
                 randomFloats(rng, cb_count * ct_count * f_dim);
-            const auto idx = randomIndices(rng, cb_count, ct_count);
-            // Tile sub-ranges: full row plus an offset odd tail.
-            const std::size_t col0 = f_dim > 2 ? f_dim / 3 : 0;
-            const std::size_t tiles[][2] = {{0, f_dim},
-                                            {col0, f_dim - col0}};
-            for (const auto &tile : tiles) {
-                std::vector<float> want(tile[1]);
-                kernels::scalarKernels().lut_accum_f32(
-                    idx.data(), cb_count, ct_count, lut.data(), f_dim,
-                    tile[0], tile[1], want.data());
-                for (const kernels::KernelTable *impl :
-                     kernels::availableKernels()) {
-                    std::vector<float> got(tile[1], 123.0f);
-                    impl->lut_accum_f32(idx.data(), cb_count, ct_count,
-                                        lut.data(), f_dim, tile[0],
-                                        tile[1], got.data());
-                    EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                                          tile[1] * sizeof(float)),
-                              0)
-                        << impl->name << " f=" << f_dim
-                        << " cb=" << cb_count << " col0=" << tile[0];
+            for (std::size_t nrows : {0u, 1u, 3u, 7u}) {
+                const std::size_t idx_stride = cb_count + 2;
+                const auto idx =
+                    randomIndices(rng, nrows * idx_stride, ct_count);
+                for (const Window &win : tileWindows(f_dim)) {
+                    const std::size_t dst_stride = win.f_count + 3;
+                    auto run = [&](const kernels::KernelTable &kt) {
+                        std::vector<float> dst(nrows * dst_stride,
+                                               123.0f);
+                        kt.lut_accum_f32(idx.data(), idx_stride, nrows,
+                                         cb_count, ct_count, lut.data(),
+                                         f_dim, win.col0, win.f_count,
+                                         dst.data(), dst_stride);
+                        return dst;
+                    };
+                    // The scalar oracle against the contract itself,
+                    // padding columns untouched.
+                    const std::vector<float> want =
+                        run(kernels::scalarKernels());
+                    for (std::size_t r = 0; r < nrows; ++r) {
+                        for (std::size_t j = 0; j < dst_stride; ++j) {
+                            float ref = 123.0f;
+                            if (j < win.f_count) {
+                                ref = 0.0f;
+                                for (std::size_t cb = 0; cb < cb_count;
+                                     ++cb) {
+                                    ref += lut[(cb * ct_count +
+                                                idx[r * idx_stride +
+                                                    cb]) *
+                                                   f_dim +
+                                               win.col0 + j];
+                                }
+                            }
+                            ASSERT_EQ(want[r * dst_stride + j], ref)
+                                << "f=" << f_dim << " r=" << r
+                                << " j=" << j;
+                        }
+                    }
+                    for (const kernels::KernelTable *impl :
+                         kernels::availableKernels()) {
+                        const std::vector<float> got = run(*impl);
+                        EXPECT_TRUE(sameBits(got, want))
+                            << impl->name << " f=" << f_dim
+                            << " cb=" << cb_count << " rows=" << nrows
+                            << " col0=" << win.col0
+                            << " count=" << win.f_count;
+                    }
                 }
             }
         }
@@ -225,24 +291,111 @@ TEST_F(KernelParity, LutAccumI8OddShapes)
 {
     Rng rng(44);
     const std::size_t ct_count = 16;
-    const std::size_t f_dims[] = {1, 7, 8, 9, 33, 255};
+    const std::size_t f_dims[] = {1, 7, 8, 9, 15, 16, 17, 33, 40, 255};
     for (std::size_t f_dim : f_dims) {
-        for (std::size_t cb_count : {1u, 5u, 16u}) {
+        // 37 codebooks and 131 rows cross the AVX2 kernel's codebook
+        // chunks and row blocks.
+        for (std::size_t cb_count : {1u, 5u, 16u, 37u}) {
             const auto lut = randomInt8(rng, cb_count * ct_count * f_dim);
-            const auto idx = randomIndices(rng, cb_count, ct_count);
-            std::vector<std::int32_t> want(f_dim);
-            kernels::scalarKernels().lut_accum_i8(
-                idx.data(), cb_count, ct_count, lut.data(), f_dim, 0,
-                f_dim, want.data());
-            for (const kernels::KernelTable *impl :
-                 kernels::availableKernels()) {
-                std::vector<std::int32_t> got(f_dim, -7);
-                impl->lut_accum_i8(idx.data(), cb_count, ct_count,
-                                   lut.data(), f_dim, 0, f_dim,
-                                   got.data());
-                EXPECT_EQ(got, want)
-                    << impl->name << " f=" << f_dim << " cb=" << cb_count;
+            for (std::size_t nrows : {0u, 1u, 3u, 5u, 131u}) {
+                const std::size_t idx_stride = cb_count + 3;
+                auto idx =
+                    randomIndices(rng, nrows * idx_stride, ct_count);
+                // Row 0 gathers the table's last row, so a window that
+                // crossed a row end would read past the allocation.
+                for (std::size_t cb = 0; nrows > 0 && cb < cb_count; ++cb)
+                    idx[cb] = static_cast<std::uint16_t>(ct_count - 1);
+                const float scale = 0.37f;
+                for (const Window &win : tileWindows(f_dim)) {
+                    const std::size_t dst_stride = win.f_count + 2;
+                    auto run = [&](const kernels::KernelTable &kt) {
+                        std::vector<float> dst(nrows * dst_stride, -7.0f);
+                        kt.lut_accum_i8(idx.data(), idx_stride, nrows,
+                                        cb_count, ct_count, lut.data(),
+                                        f_dim, win.col0, win.f_count,
+                                        scale, dst.data(), dst_stride);
+                        return dst;
+                    };
+                    const std::vector<float> want =
+                        run(kernels::scalarKernels());
+                    for (std::size_t r = 0; r < nrows; ++r) {
+                        for (std::size_t j = 0; j < dst_stride; ++j) {
+                            float ref = -7.0f;
+                            if (j < win.f_count) {
+                                std::int32_t acc = 0;
+                                for (std::size_t cb = 0; cb < cb_count;
+                                     ++cb) {
+                                    acc += lut[(cb * ct_count +
+                                                idx[r * idx_stride +
+                                                    cb]) *
+                                                   f_dim +
+                                               win.col0 + j];
+                                }
+                                ref = static_cast<float>(acc) * scale;
+                            }
+                            ASSERT_EQ(want[r * dst_stride + j], ref)
+                                << "f=" << f_dim << " r=" << r
+                                << " j=" << j;
+                        }
+                    }
+                    for (const kernels::KernelTable *impl :
+                         kernels::availableKernels()) {
+                        const std::vector<float> got = run(*impl);
+                        EXPECT_TRUE(sameBits(got, want))
+                            << impl->name << " f=" << f_dim
+                            << " cb=" << cb_count << " rows=" << nrows
+                            << " col0=" << win.col0
+                            << " count=" << win.f_count;
+                    }
+                }
             }
+        }
+    }
+}
+
+TEST_F(KernelParity, LutAccumRandomRowBlocks)
+{
+    // Seeded random shapes, windows and strides: every impl matches
+    // the scalar oracle bit for bit, and leaves stride padding alone.
+    Rng rng(46);
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t f_dim = 1 + rng.index(80);
+        const std::size_t cb_count = 1 + rng.index(24);
+        const std::size_t ct_count = 1 + rng.index(17);
+        const std::size_t nrows = rng.index(9);
+        const std::size_t col0 = rng.index(f_dim);
+        const std::size_t f_count = 1 + rng.index(f_dim - col0);
+        const std::size_t idx_stride = cb_count + rng.index(4);
+        const std::size_t dst_stride = f_count + rng.index(4);
+        const auto lut8 = randomInt8(rng, cb_count * ct_count * f_dim);
+        const auto lut32 = randomFloats(rng, cb_count * ct_count * f_dim);
+        const auto idx = randomIndices(rng, nrows * idx_stride, ct_count);
+        const float scale = 0.01f + rng.uniform();
+
+        auto runI8 = [&](const kernels::KernelTable &kt) {
+            std::vector<float> dst(nrows * dst_stride, 5.0f);
+            kt.lut_accum_i8(idx.data(), idx_stride, nrows, cb_count,
+                            ct_count, lut8.data(), f_dim, col0, f_count,
+                            scale, dst.data(), dst_stride);
+            return dst;
+        };
+        auto runF32 = [&](const kernels::KernelTable &kt) {
+            std::vector<float> dst(nrows * dst_stride, 5.0f);
+            kt.lut_accum_f32(idx.data(), idx_stride, nrows, cb_count,
+                             ct_count, lut32.data(), f_dim, col0, f_count,
+                             dst.data(), dst_stride);
+            return dst;
+        };
+        const auto want8 = runI8(kernels::scalarKernels());
+        const auto want32 = runF32(kernels::scalarKernels());
+        for (const kernels::KernelTable *impl :
+             kernels::availableKernels()) {
+            const auto got8 = runI8(*impl);
+            const auto got32 = runF32(*impl);
+            EXPECT_TRUE(sameBits(got8, want8))
+                << impl->name << " trial " << trial;
+            EXPECT_TRUE(sameBits(got32, want32))
+                << impl->name << " trial " << trial;
         }
     }
 }
@@ -281,7 +434,7 @@ TEST_F(KernelParity, OneRowOneCentroid)
         EXPECT_EQ(impl->ccs_argmin(v, centroid, &norm, 1, 4), 0u)
             << impl->name;
         float out = -1.0f;
-        impl->lut_accum_f32(&idx0, 1, 1, lut1, 1, 0, 1, &out);
+        impl->lut_accum_f32(&idx0, 1, 1, 1, 1, lut1, 1, 0, 1, &out, 1);
         EXPECT_EQ(out, 4.0f) << impl->name;
     }
 }

@@ -1,6 +1,7 @@
 /** @file Tests for elementwise / row-wise tensor operators. */
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -119,6 +120,46 @@ TEST(Ops, LayerNormAffine)
     Tensor y = layerNormRows(x, gamma, beta);
     EXPECT_NEAR(y(0, 0), 5.0f + 2.0f, 1e-3f);
     EXPECT_NEAR(y(0, 1), 5.0f - 2.0f, 1e-3f);
+}
+
+TEST(Ops, RowParallelOpsMatchRowByRow)
+{
+    // gelu (both overloads) and layerNormRows split rows across workers
+    // in blocks; every row must come out bit-identical to the same row
+    // computed alone, below, at and above the block grain.
+    const std::size_t cols = 37;
+    Rng rng(17);
+    std::vector<float> gamma(cols), beta(cols);
+    for (std::size_t c = 0; c < cols; ++c) {
+        gamma[c] = rng.gaussian();
+        beta[c] = rng.gaussian();
+    }
+    for (std::size_t rows : {1u, 63u, 64u, 65u, 1024u}) {
+        Tensor x(rows, cols);
+        x.fillGaussian(rng, 0.0f, 3.0f);
+        const Tensor g = gelu(x);
+        const Tensor ln = layerNormRows(x, gamma, beta);
+        // The in-place overload computes the same bits.
+        const Tensor g_in_place = gelu(Tensor(x));
+        ASSERT_EQ(std::memcmp(g.data(), g_in_place.data(),
+                              g.size() * sizeof(float)),
+                  0)
+            << "in-place gelu rows=" << rows;
+        for (std::size_t r = 0; r < rows; ++r) {
+            Tensor row(1, cols);
+            std::memcpy(row.rowPtr(0), x.rowPtr(r), cols * sizeof(float));
+            const Tensor g1 = gelu(row);
+            const Tensor ln1 = layerNormRows(row, gamma, beta);
+            ASSERT_EQ(std::memcmp(g.rowPtr(r), g1.rowPtr(0),
+                                  cols * sizeof(float)),
+                      0)
+                << "gelu rows=" << rows << " r=" << r;
+            ASSERT_EQ(std::memcmp(ln.rowPtr(r), ln1.rowPtr(0),
+                                  cols * sizeof(float)),
+                      0)
+                << "layernorm rows=" << rows << " r=" << r;
+        }
+    }
 }
 
 TEST(Ops, ArgmaxRows)
