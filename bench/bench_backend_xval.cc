@@ -14,8 +14,9 @@
  *   2. Arbitration sweep: transaction-simulated BERT-base latency as
  *      co-located host DRAM traffic intensity rises; latency must be
  *      monotone non-decreasing in the intensity.
- *   3. Serving smoke under both backends (threads the backend through
- *      BatchLatencyFn and publishes the serving.* metrics).
+ *   3. Serving smoke under both backends (a virtual-time replay of the
+ *      live runtime whose batches the backend prices; publishes the
+ *      serving.live.* metrics).
  *
  * `--json <path>` additionally writes the error table in
  * pimdl.bench.backend.v1 JSON. Exits non-zero when the error bound or
@@ -36,7 +37,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/engine.h"
-#include "runtime/serving.h"
 
 using namespace pimdl;
 using namespace pimdl::bench;
@@ -244,29 +244,18 @@ main(int argc, char **argv)
         std::cout << "  ERROR: latency not monotone in traffic "
                      "intensity\n";
 
-    // Section 3: a short batched-serving run under each backend (the
-    // backend reaches serving through the engine's BatchLatencyFn) —
-    // also populates the serving.* metrics of the snapshot schema.
+    // Section 3: a short batched-serving replay under each backend
+    // (the backend prices every batch) — also populates the
+    // serving.live.* metrics of the snapshot.
     printBanner(std::cout, "Serving smoke under both backends");
     for (const PimDlEngine *eng : {&analytical, &transaction}) {
-        ServingSimulator sim(*eng, bertBase(), v4);
-        ServingConfig serving;
-        serving.max_batch = 32;
-        const double capacity =
-            static_cast<double>(serving.max_batch) /
-            sim.batchLatency(serving.max_batch,
-                             SchedulePolicy::Sequential);
-        serving.arrival_rate = 0.6 * capacity;
-        serving.max_wait_s = 0.25;
-        serving.horizon_s = opts.smoke ? 20.0 : 60.0;
-        const ServingStats stats = sim.simulate(serving);
-        std::cout << "  " << eng->backend().name()
-                  << ": throughput="
-                  << TablePrinter::fmt(stats.throughput_rps, 2)
+        const LiveReplay run = replayBertBaseServing(*eng, opts.smoke);
+        std::cout << "  " << eng->backend().name() << ": throughput="
+                  << TablePrinter::fmt(run.throughputRps(), 2)
                   << " rps p99="
-                  << TablePrinter::fmt(stats.p99_latency_s, 3)
+                  << TablePrinter::fmt(run.stats.p99_latency_s, 3)
                   << "s util="
-                  << TablePrinter::fmt(stats.utilization * 100.0, 1)
+                  << TablePrinter::fmt(run.utilization() * 100.0, 1)
                   << "%\n";
     }
 

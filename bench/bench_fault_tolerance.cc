@@ -2,8 +2,8 @@
  * @file
  * Fault-tolerance study: sweeps injected fault rates against the
  * resilient execution ladder (checksum detect -> retry -> degraded
- * remap -> host fallback) and against the serving simulator's
- * availability/goodput accounting.
+ * remap -> host fallback) and against the live serving runtime's
+ * availability/goodput accounting, replayed in virtual time.
  *
  * Section 1 exercises runDistributedLut under increasingly hostile
  * fault profiles and checks the assembled output stays bit-exact versus
@@ -22,7 +22,7 @@
 #include "lutnn/converter.h"
 #include "runtime/engine.h"
 #include "runtime/lut_executor.h"
-#include "runtime/serving.h"
+#include "runtime/serving_live.h"
 
 using namespace pimdl;
 using namespace pimdl::bench;
@@ -201,24 +201,23 @@ main(int argc, char **argv)
                 "Serving sweep: fault rate vs availability/goodput");
 
     PimDlEngine engine(upmemPlatform(), xeon4210Dual());
-    const LutNnParams v4{4, 16};
-    ServingSimulator sim(engine, bertBase(), v4);
+    ReplayClock clock;
+    ModeledBatchExecutor executor(engine, bertBase(), LutNnParams{4, 16},
+                                  policy, clock);
 
-    ServingConfig serving;
+    LiveServingConfig serving;
     serving.max_batch = max_batch;
-    serving.policy = policy;
     serving.max_wait_s = 0.25;
-    serving.horizon_s =
+    serving.collect_outputs = false;
+    const double horizon =
         horizon_s > 0.0 ? horizon_s : (opts.smoke ? 20.0 : 60.0);
-    const double base_latency =
-        sim.batchLatency(serving.max_batch, policy);
-    if (arrival_rate > 0.0) {
-        serving.arrival_rate = arrival_rate;
-    } else {
-        const double capacity =
-            static_cast<double>(serving.max_batch) / base_latency;
-        serving.arrival_rate = 0.6 * capacity;
-    }
+    const double base_latency = executor.batchLatency(serving.max_batch);
+    const double rate_rps =
+        arrival_rate > 0.0
+            ? arrival_rate
+            : 0.6 * static_cast<double>(serving.max_batch) / base_latency;
+    const std::vector<double> arrivals =
+        poissonArrivals(rate_rps, horizon, /*seed=*/1);
     // A fault-free request waits at most ~max_wait before dispatch and
     // then rides one batch execution; budget one retried (degraded)
     // re-execution before a request counts as timed out.
@@ -227,7 +226,8 @@ main(int argc, char **argv)
             ? deadline_s
             : serving.max_wait_s +
                   base_latency *
-                      (1.0 + serving.faults.degraded_service_factor) +
+                      (1.0 +
+                       ModeledBatchExecutor::kDegradedServiceFactor) +
                   serving.faults.backoffFor(0);
 
     std::vector<double> rates{0.0, 0.02, 0.05, 0.10, 0.20, 0.40};
@@ -242,7 +242,9 @@ main(int argc, char **argv)
     bool monotone = true;
     for (double rate : rates) {
         serving.faults.batch_fault_rate = rate;
-        const ServingStats stats = sim.simulate(serving);
+        const LiveReplay run =
+            LiveServingRuntime::replay(serving, executor, clock, arrivals);
+        const LiveServingStats &stats = run.stats;
         sweep.addRow({
             TablePrinter::fmt(rate, 2),
             TablePrinter::fmt(stats.availability, 4),
@@ -251,7 +253,7 @@ main(int argc, char **argv)
             std::to_string(stats.failed_batches),
             std::to_string(stats.timed_out),
             TablePrinter::fmt(stats.p99_latency_s, 3),
-            TablePrinter::fmt(stats.goodput_rps, 1),
+            TablePrinter::fmt(run.goodputRps(), 1),
         });
         if (stats.availability > prev_avail + 1e-12)
             monotone = false;

@@ -16,7 +16,6 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "runtime/engine.h"
-#include "runtime/serving.h"
 
 using namespace pimdl;
 using namespace pimdl::bench;
@@ -172,46 +171,37 @@ main(int argc, char **argv)
               << TablePrinter::fmtRatio(geomean(en_v4_pim))
               << "  (paper 16.74x)\n";
 
-    // End-to-end here also means serving: a short batched-serving
-    // simulation populates the serving.* latency/queue metrics so the
-    // --metrics-out artifact carries the full observability schema.
+    // End-to-end here also means serving: a virtual-time replay of
+    // batched BERT-base serving through the live runtime populates the
+    // serving.live.* latency/queue metrics of the --metrics-out
+    // artifact.
     printBanner(std::cout, "Serving smoke (batched queue on BERT-base)");
     {
-        ServingSimulator sim(engine, bertBase(), v4);
-        ServingConfig serving;
-        serving.max_batch = 32;
-        // Offer ~60% of the engine's full-batch capacity so the queue
-        // is stable and the latency percentiles are meaningful.
-        const double capacity =
-            static_cast<double>(serving.max_batch) /
-            sim.batchLatency(serving.max_batch,
-                             SchedulePolicy::Sequential);
-        serving.arrival_rate = 0.6 * capacity;
-        serving.max_wait_s = 0.25;
-        serving.horizon_s = opts.smoke ? 20.0 : 60.0;
-        const ServingStats stats = sim.simulate(serving);
-        std::cout << "  requests=" << stats.requests
-                  << " batches=" << stats.batches << " p50="
-                  << TablePrinter::fmt(stats.p50_latency_s, 3) << "s p99="
-                  << TablePrinter::fmt(stats.p99_latency_s, 3)
+        const LiveReplay run = replayBertBaseServing(engine, opts.smoke);
+        std::cout << "  requests=" << run.stats.submitted
+                  << " batches=" << run.stats.batches << " p50="
+                  << TablePrinter::fmt(run.stats.p50_latency_s, 3)
+                  << "s p99="
+                  << TablePrinter::fmt(run.stats.p99_latency_s, 3)
                   << "s util="
-                  << TablePrinter::fmt(stats.utilization * 100.0, 1)
+                  << TablePrinter::fmt(run.utilization() * 100.0, 1)
                   << "%\n";
 
         // Re-run the same workload with batch faults injected so the
-        // artifact's fault.serving.* counters carry real retry and
-        // availability data (see bench_fault_tolerance for the sweep).
-        // The deadline budgets one retried re-execution on top of the
-        // fault-free tail before a request counts as timed out.
-        serving.deadline_s = 2.5 * stats.p99_latency_s;
-        serving.faults.batch_fault_rate = 0.2;
-        const ServingStats faulty = sim.simulate(serving);
+        // artifact carries real retry and availability data (see
+        // bench_fault_tolerance for the sweep). The deadline budgets
+        // one retried re-execution on top of the fault-free tail
+        // before a request counts as timed out.
+        ServingFaultProfile faults;
+        faults.batch_fault_rate = 0.2;
+        const LiveReplay faulty = replayBertBaseServing(
+            engine, opts.smoke, 2.5 * run.stats.p99_latency_s, faults);
         std::cout << "  with 20% batch faults: availability="
-                  << TablePrinter::fmt(faulty.availability, 4)
-                  << " retries=" << faulty.batch_retries
-                  << " failed_batches=" << faulty.failed_batches
+                  << TablePrinter::fmt(faulty.stats.availability, 4)
+                  << " retries=" << faulty.stats.batch_retries
+                  << " failed_batches=" << faulty.stats.failed_batches
                   << " goodput="
-                  << TablePrinter::fmt(faulty.goodput_rps, 1)
+                  << TablePrinter::fmt(faulty.goodputRps(), 1)
                   << " rps\n";
     }
 

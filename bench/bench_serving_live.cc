@@ -4,21 +4,22 @@
  * (continuous batching over the functional transformer's LUT kernels)
  * with open-loop Poisson and closed-loop client traffic, then
  * cross-validates the measured latency/batching behavior against the
- * analytical serving simulator fed with a measured per-bucket batch
- * latency calibration — the same model-vs-measurement methodology the
- * paper uses for its cost model (reported as a relative error).
+ * same runtime replayed in virtual time with a measured per-bucket
+ * batch latency calibration — the same model-vs-measurement
+ * methodology the paper uses for its cost model (reported as a
+ * relative error).
  *
  * Sections:
  *   1. Batch-latency calibration of the executor (per pow2 bucket).
- *   2. Analytical BERT-base PIM serving baseline (the simulator on the
- *      real engine estimate — the deployment the live runtime scales
+ *   2. Modeled BERT-base PIM serving baseline (the runtime replayed on
+ *      the engine's estimates — the deployment the live runtime scales
  *      down for commodity-CI execution).
  *   3. Open-loop validation: a Poisson arrival trace is replayed in
- *      real time through the live runtime, then the identical trace is
- *      replayed through the discrete-event model; per-metric relative
- *      errors quantify the queueing/batching model fidelity.
+ *      real time through the threaded runtime, then the identical trace
+ *      is replayed in virtual time; per-metric relative errors quantify
+ *      how well the calibrated replay predicts the threaded run.
  *   4. Closed-loop clients: measured goodput/latency with the recorded
- *      arrival trace replayed through the model post-hoc.
+ *      arrival trace replayed in virtual time post-hoc.
  *
  * `--json [path]` additionally writes BENCH_serving.json
  * (schema pimdl.bench.serving.v1) consumed by scripts/check_bench.py.
@@ -38,7 +39,6 @@
 #include "common/table.h"
 #include "obs/json.h"
 #include "runtime/engine.h"
-#include "runtime/serving.h"
 #include "runtime/serving_live.h"
 
 using namespace pimdl;
@@ -101,6 +101,48 @@ double
 median3(double a, double b, double c)
 {
     return std::max(std::min(a, b), std::min(std::max(a, b), c));
+}
+
+/**
+ * Replay executor: sleeps each batch's calibrated latency (that of the
+ * smallest calibrated bucket holding the batch) on the replay clock.
+ */
+class CalibratedExecutor final : public BatchExecutor
+{
+  public:
+    CalibratedExecutor(const std::map<std::size_t, double> &latency,
+                       Clock &clock)
+        : latency_(latency), clock_(clock)
+    {}
+
+    Tensor
+    execute(const Tensor &tokens, std::size_t seq_len,
+            bool degraded) override
+    {
+        (void)degraded; // HostLut has no slower fallback path
+        const auto it = latency_.lower_bound(tokens.rows() / seq_len);
+        clock_.sleepFor(it != latency_.end() ? it->second
+                                             : latency_.rbegin()->second);
+        return tokens;
+    }
+
+  private:
+    const std::map<std::size_t, double> &latency_;
+    Clock &clock_;
+};
+
+/** Replays @p arrivals through @p config's runtime on one worker,
+ * each batch costing its calibrated latency. */
+LiveServingStats
+replayCalibrated(LiveServingConfig config,
+                 const std::map<std::size_t, double> &latency,
+                 const std::vector<double> &arrivals)
+{
+    config.workers = 1;
+    ReplayClock clock;
+    CalibratedExecutor executor(latency, clock);
+    return LiveServingRuntime::replay(config, executor, clock, arrivals)
+        .stats;
 }
 
 /** Relative error |measured - model| / model (model > 0). */
@@ -232,42 +274,25 @@ main(int argc, char **argv)
 
     const double full_batch_latency = calibrated.at(
         calibrated.rbegin()->first);
-    const BatchLatencyFn calibrated_latency =
-        [&calibrated](std::size_t batch) {
-            // The trace simulator asks for pow2-bucketed shapes; round
-            // up defensively for non-pow2 queries.
-            auto it = calibrated.lower_bound(batch);
-            return it != calibrated.end() ? it->second
-                                          : calibrated.rbegin()->second;
-        };
 
     // ---------------------------------------------------------------
-    // Section 2: analytical BERT-base PIM serving baseline. This is
-    // the deployment-scale prediction (and it populates the engine /
-    // tuner / serving metric schema the CI snapshot check expects).
+    // Section 2: modeled BERT-base PIM serving baseline. This is the
+    // deployment-scale prediction (and it populates the engine /
+    // tuner metric families the CI snapshot check expects).
     // ---------------------------------------------------------------
     printBanner(std::cout,
-                "Analytical baseline: BERT-base serving on UPMEM");
+                "Modeled baseline: BERT-base serving on UPMEM");
     PimDlEngine engine(upmemPlatform(), xeon4210Dual());
-    ServingSimulator bert_sim(engine, bertBase(), LutNnParams{4, 16});
-    ServingConfig bert_cfg;
-    bert_cfg.max_batch = 32;
-    bert_cfg.max_wait_s = 0.25;
-    bert_cfg.horizon_s = opts.smoke ? 20.0 : 60.0;
-    const double bert_latency =
-        bert_sim.batchLatency(bert_cfg.max_batch, bert_cfg.policy);
-    bert_cfg.arrival_rate =
-        0.6 * static_cast<double>(bert_cfg.max_batch) / bert_latency;
-    const ServingStats bert_stats = bert_sim.simulate(bert_cfg);
+    const LiveReplay bert = replayBertBaseServing(engine, opts.smoke);
     TablePrinter bert_table({"Requests", "Batches", "Mean batch",
                              "p99 (s)", "Throughput (rps)", "Util"});
     bert_table.addRow({
-        std::to_string(bert_stats.requests),
-        std::to_string(bert_stats.batches),
-        TablePrinter::fmt(bert_stats.mean_batch_size, 2),
-        TablePrinter::fmt(bert_stats.p99_latency_s, 3),
-        TablePrinter::fmt(bert_stats.throughput_rps, 1),
-        TablePrinter::fmt(bert_stats.utilization, 3),
+        std::to_string(bert.stats.submitted),
+        std::to_string(bert.stats.batches),
+        TablePrinter::fmt(bert.stats.mean_batch_size, 2),
+        TablePrinter::fmt(bert.stats.p99_latency_s, 3),
+        TablePrinter::fmt(bert.throughputRps(), 1),
+        TablePrinter::fmt(bert.utilization(), 3),
     });
     bert_table.print(std::cout);
 
@@ -312,16 +337,15 @@ main(int argc, char **argv)
     // Section 3: open-loop Poisson validation against the model.
     // ---------------------------------------------------------------
     printBanner(std::cout,
-                "Open-loop Poisson: measured vs analytical model");
+                "Open-loop Poisson: measured vs virtual-time replay");
     {
         const double horizon_s =
             static_cast<double>(requests) / offered_rps;
         const std::vector<double> arrivals =
             poissonArrivals(offered_rps, horizon_s, /*seed=*/42);
 
-        // The discrete-event model is a single-server queue; validate
-        // against a single worker so both sides serve batches one at
-        // a time.
+        // The replay runs one worker; validate against a single
+        // threaded worker so both sides serve batches one at a time.
         LiveServingConfig open_cfg = live_cfg;
         open_cfg.workers = 1;
         LiveServingRuntime runtime(open_cfg, executor);
@@ -344,15 +368,8 @@ main(int argc, char **argv)
             (void)f.get();
         const LiveServingStats live = runtime.stats();
 
-        ServingConfig trace_cfg;
-        trace_cfg.arrival_rate = offered_rps;
-        trace_cfg.max_batch = max_batch;
-        trace_cfg.max_wait_s = max_wait_s;
-        trace_cfg.horizon_s = horizon_s;
-        trace_cfg.deadline_s = live_cfg.deadline_s;
-        const ServingStats model_stats =
-            simulateServingTrace(trace_cfg, arrivals,
-                                 calibrated_latency);
+        const LiveServingStats model_stats =
+            replayCalibrated(open_cfg, calibrated, arrivals);
 
         struct Row
         {
@@ -372,8 +389,7 @@ main(int argc, char **argv)
             {"mean batch size", live.mean_batch_size,
              model_stats.mean_batch_size},
         };
-        TablePrinter cmp({"Metric", "Measured", "Analytical",
-                          "Rel err"});
+        TablePrinter cmp({"Metric", "Measured", "Replay", "Rel err"});
         double err_sum = 0.0;
         for (const Row &row : rows) {
             const double err = relErr(row.measured, row.model);
@@ -388,7 +404,7 @@ main(int argc, char **argv)
         cmp.print(std::cout);
         const double mean_err =
             err_sum / static_cast<double>(rows.size());
-        std::cout << "\nAnalytical serving model relative error vs "
+        std::cout << "\nVirtual-time replay relative error vs "
                      "live measurement: "
                   << TablePrinter::fmt(mean_err * 100.0, 2)
                   << "% (mean over " << rows.size()
@@ -464,15 +480,10 @@ main(int argc, char **argv)
         const double span_s = wall.now() - t0;
 
         std::sort(arrival_offsets.begin(), arrival_offsets.end());
-        ServingConfig trace_cfg;
-        trace_cfg.arrival_rate =
+        const double offered =
             static_cast<double>(requests) / std::max(span_s, 1e-9);
-        trace_cfg.max_batch = max_batch;
-        trace_cfg.max_wait_s = max_wait_s;
-        trace_cfg.horizon_s = std::max(span_s, 1e-3);
-        trace_cfg.deadline_s = live_cfg.deadline_s;
-        const ServingStats model_stats = simulateServingTrace(
-            trace_cfg, arrival_offsets, calibrated_latency);
+        const LiveServingStats model_stats =
+            replayCalibrated(live_cfg, calibrated, arrival_offsets);
         const double p50_err =
             relErr(live.p50_latency_s, model_stats.p50_latency_s);
 
@@ -498,7 +509,7 @@ main(int argc, char **argv)
         entry.scenario = "closed-loop";
         entry.workers = live_cfg.workers;
         entry.requests = requests;
-        entry.offered_rps = trace_cfg.arrival_rate;
+        entry.offered_rps = offered;
         entry.mean_ms = live.mean_latency_s * 1e3;
         entry.p50_ms = live.p50_latency_s * 1e3;
         entry.p95_ms = live.p95_latency_s * 1e3;

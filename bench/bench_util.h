@@ -2,8 +2,9 @@
  * @file
  * Shared helpers for the benchmark harnesses: geometric means, the
  * standard observability flags (--metrics-out / --trace-out / --smoke),
- * and artifact emission so every bench binary leaves behind a
- * machine-readable metrics snapshot for CI and run-to-run comparison.
+ * artifact emission so every bench binary leaves behind a
+ * machine-readable metrics snapshot for CI and run-to-run comparison,
+ * and the BERT-base serving block several benches replay.
  */
 
 #ifndef PIMDL_BENCH_BENCH_UTIL_H
@@ -19,6 +20,7 @@
 #include "backend/backend.h"
 #include "obs/snapshot.h"
 #include "plan/schedule.h"
+#include "runtime/serving_live.h"
 #include "verify/verify.h"
 
 namespace pimdl {
@@ -192,6 +194,35 @@ parseBenchArgs(int argc, char **argv,
         }
     }
     return opts;
+}
+
+/**
+ * The benches' BERT-base serving block: Poisson arrivals (seed 1) at
+ * 60% of @p engine's full-batch capacity over 20 s (@p smoke) or 60 s,
+ * batched up to 32 requests with a 0.25 s max-wait, and replayed
+ * through the live runtime in virtual time with every batch priced by
+ * @p engine (V=4, CT=16, sequential schedule). @p deadline_s (0: none)
+ * and @p faults set the requests' deadline and the batch fault profile.
+ */
+inline LiveReplay
+replayBertBaseServing(const PimDlEngine &engine, bool smoke,
+                      double deadline_s = 0.0,
+                      const ServingFaultProfile &faults = {})
+{
+    ReplayClock clock;
+    ModeledBatchExecutor executor(engine, bertBase(), LutNnParams{4, 16},
+                                  SchedulePolicy::Sequential, clock);
+    LiveServingConfig config;
+    config.max_batch = 32;
+    config.max_wait_s = 0.25;
+    config.deadline_s = deadline_s;
+    config.collect_outputs = false;
+    config.faults = faults;
+    const double capacity = static_cast<double>(config.max_batch) /
+                            executor.batchLatency(config.max_batch);
+    return LiveServingRuntime::replay(
+        config, executor, clock,
+        poissonArrivals(0.6 * capacity, smoke ? 20.0 : 60.0, /*seed=*/1));
 }
 
 /** Emits the requested metrics/trace artifacts at the end of a run. */

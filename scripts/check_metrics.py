@@ -4,8 +4,8 @@
 Metric names are declared once, in the C++ publish calls. This
 validator knows only metric *families*: dotted name prefixes, each
 published by one producer. A name belongs to the longest family that
-prefixes it, so `serving.live.completed` is a `serving.live` metric
-and does not satisfy `serving`.
+prefixes it, so `engine.role.QKV.lut_s` is an `engine` metric and
+`serving.live.completed` a `serving.live` one.
 
 It checks, in order:
 
@@ -62,10 +62,6 @@ def check_engine(snap):
         pattern = rf"engine\.role\..+\.{part}"
         if not any(re.fullmatch(pattern, g) for g in snap["gauges"]):
             fail(f"no gauge matches {pattern!r}")
-
-
-def check_serving(snap):
-    check_percentiles(snap, "serving.request_latency_s", "serving")
 
 
 def check_serving_live(snap):
@@ -149,16 +145,14 @@ def check_lockorder(snap):
 
 # Every family --require accepts, with its semantic checks (None: the
 # family rule alone). `fault` is the fault-aware LUT executor's ladder
-# (fault.lut.*, fault.injected.*); `fault.serving` is the serving
-# simulator's availability accounting.
+# (fault.lut.*, fault.injected.*); the serving fault ladder's counters
+# are serving.live.* metrics.
 CHECKS = {
     "analysis.lockorder": check_lockorder,
     "backend": check_backend,
     "chaos": check_chaos,
     "engine": check_engine,
     "fault": None,
-    "fault.serving": None,
-    "serving": check_serving,
     "serving.live": check_serving_live,
     "transfer": check_transfer,
     "tuner": None,

@@ -1,7 +1,7 @@
 /**
  * @file
  * Pluggable timing backends: the interface every latency consumer
- * (engine, plan schedulers, tuner re-costing, serving simulators) goes
+ * (engine, plan schedulers, tuner re-costing, serving replays) goes
  * through to turn a lowered Plan into per-node and end-to-end timing.
  *
  * Two implementations ship (DESIGN.md Section 12):

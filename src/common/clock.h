@@ -84,9 +84,7 @@ class ManualClock final : public Clock
     double
     now() const override
     {
-        return static_cast<double>(
-                   ns_.load(std::memory_order_acquire)) *
-               1e-9;
+        return static_cast<double>(nanos()) * 1e-9;
     }
 
     /** Virtual sleep: advances the clock without blocking. */
@@ -102,8 +100,21 @@ class ManualClock final : public Clock
     advance(double seconds)
     {
         if (seconds > 0.0)
-            ns_.fetch_add(std::llround(seconds * 1e9),
-                          std::memory_order_acq_rel);
+            advanceNanos(std::llround(seconds * 1e9));
+    }
+
+    /** Whole nanoseconds since the epoch. */
+    std::int64_t
+    nanos() const
+    {
+        return ns_.load(std::memory_order_acquire);
+    }
+
+    /** Moves time forward by @p ns (non-negative) nanoseconds. */
+    void
+    advanceNanos(std::int64_t ns)
+    {
+        ns_.fetch_add(ns, std::memory_order_acq_rel);
     }
 
   private:

@@ -89,10 +89,9 @@ struct FaultConfig
 double cappedBackoff(double base_s, double cap_s, std::size_t retry);
 
 /**
- * Draw stream of the serving layer's per-batch fault outcomes. Shared
- * by the analytical serving simulator and the live serving runtime so
- * a fixed fault profile injects the same batch-indexed fault sequence
- * into both — a precondition for cross-validating their goodput.
+ * Draw stream of the serving layer's per-batch fault outcomes: a fixed
+ * fault profile injects the same batch-indexed fault sequence into
+ * every run of the live serving runtime, threaded or replayed.
  */
 inline constexpr std::uint64_t kServingBatchFaultStream = 101;
 
@@ -154,7 +153,7 @@ struct FaultReport
 /**
  * Uniform [0, 1) draw from a stateless counter-based hash (splitmix64
  * finalizer over the keys). Exposed so other layers (the serving
- * simulator's per-batch outcomes) share the same determinism contract.
+ * runtime's per-batch outcomes) share the same determinism contract.
  */
 double faultHashUniform(std::uint64_t seed, std::uint64_t stream,
                         std::uint64_t a, std::uint64_t b);

@@ -3,7 +3,7 @@
  * Process-wide metrics registry: named counters, gauges, and sample
  * histograms with percentile summaries, exportable as one JSON object.
  *
- * The engine, serving simulator, auto-tuner, and PE executor already
+ * The engine, serving runtime, auto-tuner, and PE executor already
  * compute rich latency/traffic breakdowns internally; this registry is
  * where they publish them so a run leaves behind one machine-readable
  * artifact (the per-stage statistics reporting that simulator

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstring>
 #include <exception>
+#include <limits>
+#include <utility>
 
 #include "common/logging.h"
-#include "fault/fault.h"
+#include "common/rng.h"
 #include "obs/trace.h"
 
 namespace pimdl {
@@ -25,7 +27,7 @@ constexpr double kVirtualPollSliceS = 200e-6;
  * Remaining max-wait at or below which a forming batch flushes. The
  * remaining wait is a difference of seconds-as-doubles, so a clock
  * advanced by exactly max_wait_s can leave it a rounding error above
- * zero; the serving simulator uses the same 1 ns tolerance.
+ * zero.
  */
 constexpr double kMaxWaitEpsS = 1e-9;
 
@@ -74,6 +76,69 @@ FunctionalBatchExecutor::execute(const Tensor &tokens,
 }
 
 void
+ServingFaultProfile::validate() const
+{
+    PIMDL_REQUIRE(std::isfinite(batch_fault_rate) &&
+                      batch_fault_rate >= 0.0 && batch_fault_rate <= 1.0,
+                  "faults.batch_fault_rate must lie in [0, 1]");
+    PIMDL_REQUIRE(std::isfinite(backoff_base_s) && backoff_base_s >= 0.0,
+                  "faults.backoff_base_s must be finite and non-negative");
+    PIMDL_REQUIRE(std::isfinite(backoff_cap_s) &&
+                      backoff_cap_s >= backoff_base_s,
+                  "faults.backoff_cap_s must be >= faults.backoff_base_s");
+}
+
+std::vector<double>
+poissonArrivals(double arrival_rate, double horizon_s, std::uint64_t seed)
+{
+    PIMDL_REQUIRE(std::isfinite(arrival_rate) && arrival_rate > 0.0,
+                  "arrival_rate must be positive (requests/second)");
+    PIMDL_REQUIRE(std::isfinite(horizon_s) && horizon_s > 0.0,
+                  "horizon_s must be positive (seconds)");
+    Rng rng(seed);
+    std::vector<double> arrivals;
+    double t = 0.0;
+    while (true) {
+        const double u = std::max(1e-12f, rng.uniform());
+        t += -std::log(u) / arrival_rate;
+        if (t >= horizon_s)
+            break;
+        arrivals.push_back(t);
+    }
+    return arrivals;
+}
+
+Tensor
+ModeledBatchExecutor::execute(const Tensor &tokens, std::size_t seq_len,
+                              bool degraded)
+{
+    const double latency = batchLatency(tokens.rows() / seq_len);
+    clock_.sleepFor(degraded ? kDegradedServiceFactor * latency
+                             : latency);
+    return tokens;
+}
+
+double
+ModeledBatchExecutor::batchLatency(std::size_t batch) const
+{
+    PIMDL_REQUIRE(batch > 0, "batch must be positive");
+    {
+        MutexLock lock(memo_mu_);
+        const auto it = memo_.find(batch);
+        if (it != memo_.end())
+            return it->second;
+    }
+    TransformerConfig cfg = model_;
+    cfg.batch = batch;
+    // Estimate outside the lock: distinct batch shapes plan in
+    // parallel, and the engine's own tune memo is thread-safe.
+    const InferenceEstimate est = engine_.estimate(
+        cfg, params_, ExecutionMode::PimDl, schedulerFor(policy_));
+    MutexLock lock(memo_mu_);
+    return memo_.emplace(batch, est.total_s).first->second;
+}
+
+void
 LiveServingConfig::validate() const
 {
     PIMDL_REQUIRE(max_batch > 0, "max_batch must be positive");
@@ -114,7 +179,8 @@ LiveServingRuntime::PendingRequest::~PendingRequest()
     }
 }
 
-LiveServingRuntime::LiveServingRuntime(const LiveServingConfig &config,
+LiveServingRuntime::LiveServingRuntime(Unstarted,
+                                       const LiveServingConfig &config,
                                        BatchExecutor &executor,
                                        Clock *clock,
                                        const ChaosInjector *chaos)
@@ -172,7 +238,14 @@ LiveServingRuntime::LiveServingRuntime(const LiveServingConfig &config,
         (work_queue_.capacity() + config_.workers) * config_.max_batch);
     inflight_limit_.store(inflight_cap_, std::memory_order_relaxed);
     m_.inflight_limit->set(inflight_cap_);
+}
 
+LiveServingRuntime::LiveServingRuntime(const LiveServingConfig &config,
+                                       BatchExecutor &executor,
+                                       Clock *clock,
+                                       const ChaosInjector *chaos)
+    : LiveServingRuntime(Unstarted{}, config, executor, clock, chaos)
+{
     batcher_ = std::thread(&LiveServingRuntime::batcherLoop, this);
     {
         MutexLock lock(workers_mu_);
@@ -204,7 +277,6 @@ LiveServingRuntime::submit(Tensor input, std::uint64_t tenant,
                   "submitted request tensor must be non-empty");
     {
         MutexLock lock(stats_mu_);
-        ++acc_.submitted;
         if (pinned_rows_ == 0) {
             pinned_rows_ = input.rows();
             pinned_cols_ = input.cols();
@@ -213,6 +285,9 @@ LiveServingRuntime::submit(Tensor input, std::uint64_t tenant,
                           input.cols() == pinned_cols_,
                       "every request must match the first request's "
                       "(seq_len x hidden) shape");
+        // Counted only once the shape check passed: a request that
+        // throws never reaches an outcome.
+        ++acc_.submitted;
     }
     m_.requests->add(1);
 
@@ -285,21 +360,15 @@ LiveServingRuntime::batcherLoop()
         BatchTask task;
         task.requests.push_back(std::move(front));
 
-        while (task.requests.size() < config_.max_batch) {
-            const double waited =
-                clock_->now() - task.requests.front()->enqueue_s;
-            const double remaining = config_.max_wait_s - waited;
-            if (remaining <= kMaxWaitEpsS)
-                break;
+        for (double open = batchOpenForS(task, clock_->now()); open > 0.0;
+             open = batchOpenForS(task, clock_->now())) {
             std::unique_ptr<PendingRequest> next;
             const double slice =
-                clock_->isVirtual() ? kVirtualPollSliceS : remaining;
-            if (request_queue_.popFor(next, slice)) {
+                clock_->isVirtual() ? kVirtualPollSliceS : open;
+            if (request_queue_.popFor(next, slice))
                 task.requests.push_back(std::move(next));
-            } else if (request_queue_.closed() &&
-                       request_queue_.empty()) {
+            else if (requestQueueDrained())
                 break; // draining: flush the partial batch now
-            }
             // Otherwise (timeout or spurious wake) the loop re-reads
             // the clock and re-derives the remaining wait.
         }
@@ -312,10 +381,29 @@ LiveServingRuntime::batcherLoop()
     work_queue_.close();
 }
 
+double
+LiveServingRuntime::batchOpenForS(const BatchTask &task, double now) const
+{
+    if (task.requests.size() >= config_.max_batch)
+        return 0.0;
+    const double remaining =
+        config_.max_wait_s - (now - task.requests.front()->enqueue_s);
+    return remaining <= kMaxWaitEpsS ? 0.0 : remaining;
+}
+
 void
 LiveServingRuntime::dispatch(BatchTask &&task)
 {
-    const double now = clock_->now();
+    if (!seal(task, clock_->now()))
+        return;
+    // Blocking push: a full work queue is the backpressure that keeps
+    // the batcher at most a few batches ahead of the workers.
+    (void)work_queue_.push(std::move(task));
+}
+
+bool
+LiveServingRuntime::seal(BatchTask &task, double now)
+{
     std::vector<std::unique_ptr<PendingRequest>> keep;
     keep.reserve(task.requests.size());
     for (auto &req : task.requests) {
@@ -326,13 +414,11 @@ LiveServingRuntime::dispatch(BatchTask &&task)
     }
     task.requests = std::move(keep);
     if (task.requests.empty())
-        return;
+        return false;
     task.id = next_batch_id_.fetch_add(1, std::memory_order_relaxed);
     m_.batch_queue_depth->record(
         static_cast<double>(work_queue_.size()));
-    // Blocking push: a full work queue is the backpressure that keeps
-    // the batcher at most a few batches ahead of the workers.
-    (void)work_queue_.push(std::move(task));
+    return true;
 }
 
 void
@@ -424,9 +510,9 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
 
     // Publish the batch to the heartbeat registry: from here until
     // the take-back below, the watchdog may seize the requests.
+    const std::uint64_t key = task.drawKey();
     const bool hb_dropped =
-        chaos_ != nullptr &&
-        chaos_->dropHeartbeat(ws->worker_id, task.id);
+        chaos_ != nullptr && chaos_->dropHeartbeat(ws->worker_id, key);
     const double start = clock_->now();
     {
         MutexLock lock(ws->mu);
@@ -434,7 +520,7 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
         ws->seized = false;
         ws->batch_id = task.id;
         ws->attempts_done = task.attempts_done;
-        ws->bisected = task.bisected;
+        ws->split_path = task.split_path;
         // A dropped heartbeat backdates the timestamp past any hang
         // threshold: the watchdog will seize a healthy worker (the
         // false-positive path the late-result discard exists for).
@@ -461,12 +547,12 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
         const bool degraded = attempt > 0 || !breaker_primary;
         bool faulted = false;
         if (chaos_ != nullptr) {
-            const double stall = chaos_->stallSeconds(task.id, attempt);
+            const double stall = chaos_->stallSeconds(key, attempt);
             if (stall > 0.0)
                 clock_->sleepFor(stall);
         }
         if (chaos_ != nullptr &&
-            chaos_->injectException(task.id, attempt, degraded)) {
+            chaos_->injectException(key, attempt, degraded)) {
             faulted = true;
         } else {
             try {
@@ -479,18 +565,16 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
             }
             if (chaos_ != nullptr) {
                 const double extra =
-                    chaos_->slowExtraSeconds(task.id, attempt);
+                    chaos_->slowExtraSeconds(key, attempt);
                 if (extra > 0.0)
                     clock_->sleepFor(extra);
             }
         }
         if (!faulted && faults.enabled()) {
-            // Same draw stream and keying as the analytical simulator,
-            // so a fixed profile faults the same batch indices here
-            // and there.
-            const double u =
-                faultHashUniform(faults.seed, kServingBatchFaultStream,
-                                 task.id, attempt);
+            // Keyed on the dispatch id (and split path), so a fixed
+            // profile faults the same batch indices in every run.
+            const double u = faultHashUniform(
+                faults.seed, kServingBatchFaultStream, key, attempt);
             faulted = u < faults.batch_fault_rate;
         }
         if (!degraded) {
@@ -561,12 +645,10 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
             const std::size_t half = batch / 2;
             BatchTask left;
             BatchTask right;
-            left.id =
-                next_batch_id_.fetch_add(1, std::memory_order_relaxed);
-            right.id =
-                next_batch_id_.fetch_add(1, std::memory_order_relaxed);
-            left.bisected = true;
-            right.bisected = true;
+            left.id = task.id;
+            right.id = task.id;
+            left.split_path = 2 * task.split_path;
+            right.split_path = 2 * task.split_path + 1;
             for (std::size_t i = 0; i < batch; ++i) {
                 if (i < half)
                     left.requests.push_back(
@@ -582,7 +664,7 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
             executeBatch(std::move(right), ws);
             return;
         }
-        if (batch == 1 && task.bisected) {
+        if (batch == 1 && task.split_path > 1) {
             // Bisection bottomed out on a single request: the poison
             // is isolated and fails alone.
             m_.poison_isolated->add(1);
@@ -594,7 +676,6 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
     std::size_t completed = 0;
     std::size_t timed_out = 0;
     std::vector<double> batch_latencies;
-    std::vector<double> batch_waits;
     batch_latencies.reserve(batch);
     for (std::size_t i = 0; i < batch; ++i) {
         std::unique_ptr<PendingRequest> &req = task.requests[i];
@@ -621,7 +702,6 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
             else
                 ++completed;
             batch_latencies.push_back(result.latency_s);
-            batch_waits.push_back(result.queue_wait_s);
             m_.request_latency_s->record(result.latency_s);
             m_.queue_wait_s->record(result.queue_wait_s);
             if (config_.collect_outputs) {
@@ -676,8 +756,6 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
     acc_.busy_s += service;
     latencies_.insert(latencies_.end(), batch_latencies.begin(),
                       batch_latencies.end());
-    queue_waits_.insert(queue_waits_.end(), batch_waits.begin(),
-                        batch_waits.end());
 }
 
 double
@@ -763,7 +841,7 @@ LiveServingRuntime::watchdogLoop()
                 ws->seized = true;
                 seized.id = ws->batch_id;
                 seized.attempts_done = ws->attempts_done + 1;
-                seized.bisected = ws->bisected;
+                seized.split_path = ws->split_path;
                 seized.requests = std::move(ws->requests);
                 ws->requests.clear();
             }
@@ -799,8 +877,7 @@ LiveServingRuntime::drain()
     if (drained_)
         return;
     drained_ = true;
-    draining_.store(true, std::memory_order_release);
-    request_queue_.close();
+    closeAdmission();
     if (batcher_.joinable())
         batcher_.join();
     // The batcher closed the work queue on exit; workers drain it.
@@ -864,13 +941,6 @@ LiveServingRuntime::statsLocked() const
         stats.p95_latency_s = percentile(0.95);
         stats.p99_latency_s = percentile(0.99);
     }
-    if (!queue_waits_.empty()) {
-        double sum = 0.0;
-        for (double w : queue_waits_)
-            sum += w;
-        stats.mean_queue_wait_s =
-            sum / static_cast<double>(queue_waits_.size());
-    }
     stats.breaker_opens = breaker_->opens();
     stats.inflight_limit =
         inflight_limit_.load(std::memory_order_relaxed);
@@ -893,6 +963,201 @@ std::size_t
 LiveServingRuntime::queueDepth() const
 {
     return request_queue_.size();
+}
+
+void
+LiveServingRuntime::closeAdmission()
+{
+    draining_.store(true, std::memory_order_release);
+    request_queue_.close();
+}
+
+/**
+ * The event loop of LiveServingRuntime::replay. It plays the batcher
+ * thread and the one worker thread of the threaded runtime with
+ * non-blocking queue operations: the batcher pops arrivals into the
+ * forming batch, closes it when batchOpenForS says so, seals it, and
+ * holds it while the work queue is full; the worker starts the next
+ * queued batch whenever it is idle. Every decision is the runtime's.
+ */
+class LiveServingRuntime::Drive
+{
+  public:
+    Drive(LiveServingRuntime &runtime, ReplayClock &clock,
+          const std::vector<double> &arrivals)
+        : futures_(arrivals.size()), rt_(runtime), clock_(clock)
+    {
+        const std::int64_t start = clock_.time_.nanos();
+        arrival_ns_.reserve(arrivals.size());
+        for (double a : arrivals)
+            arrival_ns_.push_back(start + std::llround(a * 1e9));
+        clock_.drive_ = this;
+    }
+
+    ~Drive() { clock_.drive_ = nullptr; }
+
+    /** Runs the worker until every arrival resolved. */
+    void
+    run()
+    {
+        if (arrival_ns_.empty())
+            rt_.closeAdmission();
+        for (;;) {
+            BatchTask task;
+            if (rt_.work_queue_.tryPop(task)) {
+                pumpBatcher(); // the freed slot unblocks the batcher
+                rt_.executeBatch(std::move(task), &worker_);
+                continue;
+            }
+            const std::int64_t next = nextEventNs();
+            if (next == kNever)
+                return;
+            advanceTo(next);
+        }
+    }
+
+    /** Delivers every event due by @p target_ns, then moves time
+     * there. */
+    void
+    advanceTo(std::int64_t target_ns)
+    {
+        for (std::int64_t t = nextEventNs(); t <= target_ns;
+             t = nextEventNs()) {
+            moveTo(t);
+            if (next_arrival_ < arrival_ns_.size() &&
+                arrival_ns_[next_arrival_] <= t)
+                arrive();
+            pumpBatcher();
+        }
+        moveTo(target_ns);
+    }
+
+    /** One per arrival; nullopt where admission rejected it. */
+    std::vector<std::optional<std::future<LiveRequestResult>>> futures_;
+
+  private:
+    static constexpr std::int64_t kNever =
+        std::numeric_limits<std::int64_t>::max();
+
+    void
+    moveTo(std::int64_t t_ns)
+    {
+        clock_.time_.advanceNanos(t_ns - clock_.time_.nanos());
+    }
+
+    /** The next arrival or batch close, kNever when none is due. */
+    std::int64_t
+    nextEventNs() const
+    {
+        std::int64_t next =
+            blocked_ || forming_.requests.empty() ? kNever : close_ns_;
+        if (next_arrival_ < arrival_ns_.size())
+            next = std::min(next, arrival_ns_[next_arrival_]);
+        return next;
+    }
+
+    void
+    arrive()
+    {
+        futures_[next_arrival_++] = rt_.submit(Tensor(1, 1));
+        if (next_arrival_ == arrival_ns_.size())
+            rt_.closeAdmission();
+    }
+
+    /** Steps the batcher until it waits for a request or a close, or
+     * blocks on the full work queue. */
+    void
+    pumpBatcher()
+    {
+        const double now = clock_.now();
+        for (;;) {
+            if (blocked_) {
+                if (!rt_.work_queue_.tryPushOrKeep(sealed_))
+                    return;
+                blocked_ = false;
+            }
+            std::unique_ptr<PendingRequest> next;
+            if (forming_.requests.empty()) {
+                if (!rt_.request_queue_.tryPop(next))
+                    return;
+                forming_.requests.push_back(std::move(next));
+            }
+            double open = rt_.batchOpenForS(forming_, now);
+            while (open > 0.0 && rt_.request_queue_.tryPop(next)) {
+                forming_.requests.push_back(std::move(next));
+                open = rt_.batchOpenForS(forming_, now);
+            }
+            if (open > 0.0 && !rt_.requestQueueDrained()) {
+                const std::int64_t wait_ns = std::llround(open * 1e9);
+                close_ns_ = clock_.time_.nanos() +
+                            std::max<std::int64_t>(wait_ns, 1);
+                return;
+            }
+            rt_.m_.queue_depth->set(
+                static_cast<double>(rt_.request_queue_.size()));
+            sealed_ = std::exchange(forming_, BatchTask{});
+            blocked_ = rt_.seal(sealed_, now);
+        }
+    }
+
+    LiveServingRuntime &rt_;
+    ReplayClock &clock_;
+    std::vector<std::int64_t> arrival_ns_;
+    std::size_t next_arrival_ = 0;
+    /** The batch the batcher is forming (empty: waiting for one). */
+    BatchTask forming_;
+    /** When forming_ closes unless it fills first. */
+    std::int64_t close_ns_ = kNever;
+    /** A sealed batch the full work queue has not taken yet. */
+    BatchTask sealed_;
+    bool blocked_ = false;
+    WorkerState worker_;
+};
+
+LiveReplay
+LiveServingRuntime::replay(const LiveServingConfig &config,
+                           BatchExecutor &executor, ReplayClock &clock,
+                           const std::vector<double> &arrivals,
+                           const ChaosInjector *chaos)
+{
+    PIMDL_REQUIRE(config.workers == 1,
+                  "replay runs one worker: workers must be 1");
+    PIMDL_REQUIRE(!config.resilience.watchdog,
+                  "replay cannot run resilience.watchdog (threads only)");
+    PIMDL_REQUIRE(chaos == nullptr,
+                  "replay cannot inject chaos (threads only)");
+    PIMDL_REQUIRE(std::is_sorted(arrivals.begin(), arrivals.end()) &&
+                      (arrivals.empty() || arrivals.front() >= 0.0),
+                  "arrivals must be non-negative and ascending");
+
+    LiveServingRuntime runtime(Unstarted{}, config, executor, &clock,
+                               nullptr);
+    const double start = clock.now();
+    LiveReplay out;
+    {
+        Drive drive(runtime, clock, arrivals);
+        drive.run();
+        for (auto &f : drive.futures_)
+            out.requests.push_back(f ? std::optional(f->get())
+                                     : std::nullopt);
+    }
+    runtime.drain();
+    out.stats = runtime.stats();
+    out.span_s = clock.now() - start;
+    return out;
+}
+
+void
+ReplayClock::sleepFor(double seconds)
+{
+    if (seconds <= 0.0)
+        return;
+    const std::int64_t target =
+        time_.nanos() + std::llround(seconds * 1e9);
+    if (drive_ != nullptr)
+        drive_->advanceTo(target);
+    else
+        time_.advanceNanos(target - time_.nanos());
 }
 
 } // namespace pimdl

@@ -1,17 +1,16 @@
 /**
  * @file
- * Live multithreaded serving runtime with continuous batching.
+ * Live serving runtime with continuous batching, run on threads or
+ * replayed single-threaded in virtual time.
  *
- * The analytical counterpart (runtime/serving.h) predicts batched
- * serving behavior from engine estimates; this module executes it:
- * request submitters feed a bounded MPMC queue (admission control — a
+ * Request submitters feed a bounded MPMC queue (admission control — a
  * full queue rejects instead of buffering unboundedly), a batcher
  * thread forms batches under a max-batch/max-wait policy, and a worker
  * pool drives a real executor (the functional transformer) while the
  * batcher keeps forming the next batch — continuous batching. Batches
- * ride the same deterministic fault/retry ladder as the simulator
- * (shared draw stream kServingBatchFaultStream), and requests past
- * their deadline are shed at admission or dispatch.
+ * ride a deterministic fault/retry ladder (ServingFaultProfile, draw
+ * stream kServingBatchFaultStream), and requests past their deadline
+ * are shed at admission or dispatch.
  *
  * On top of that sits the resilience control plane (resilience.h):
  * a watchdog thread seizes batches from hung workers and respawns the
@@ -25,15 +24,22 @@
  * Every time-dependent decision (max-wait, deadlines, backoff, hang
  * timeouts, breaker cooldowns) reads an injectable Clock, so tests
  * drive a ManualClock and stay deterministic under arbitrary CI load;
- * production uses SteadyClock.
+ * production uses SteadyClock. LiveServingRuntime::replay runs the same
+ * runtime code with no threads on a ReplayClock: arrivals, batch
+ * closes and batch executions become events in virtual time, and a
+ * ModeledBatchExecutor prices each batch with the PIM-DL engine. That
+ * is how the benches model batched serving at deployment scale (the
+ * cloud-serving case of the paper's Section 2.2).
  */
 
 #ifndef PIMDL_RUNTIME_SERVING_LIVE_H
 #define PIMDL_RUNTIME_SERVING_LIVE_H
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -43,13 +49,53 @@
 #include "common/mpmc_queue.h"
 #include "common/thread_annotations.h"
 #include "fault/chaos.h"
+#include "fault/fault.h"
 #include "obs/metrics.h"
+#include "runtime/engine.h"
 #include "runtime/functional_transformer.h"
 #include "runtime/resilience.h"
-#include "runtime/serving.h"
 #include "tensor/tensor.h"
 
 namespace pimdl {
+
+/**
+ * Per-batch fault semantics of the serving loop. Batch outcomes are
+ * drawn by a counter-based hash of (seed, batch, attempt), so a sweep
+ * over batch_fault_rate sees coupled draws: raising the rate can only
+ * add faults, which keeps availability/retry curves monotonic.
+ */
+struct ServingFaultProfile
+{
+    /** Per dispatch-attempt probability the batch execution fails. */
+    double batch_fault_rate = 0.0;
+    /** Retries allowed per batch after the initial attempt. */
+    std::size_t max_retries = 3;
+    /** Backoff before the first retry, seconds. */
+    double backoff_base_s = 2e-3;
+    /** Backoff ceiling, seconds. */
+    double backoff_cap_s = 64e-3;
+    /** Root of the per-batch outcome draws. */
+    std::uint64_t seed = 0xfa0175ULL;
+
+    bool enabled() const { return batch_fault_rate > 0.0; }
+
+    /** Backoff before retry number @p retry (0-based), seconds. */
+    double backoffFor(std::size_t retry) const
+    {
+        return cappedBackoff(backoff_base_s, backoff_cap_s, retry);
+    }
+
+    /** Throws std::runtime_error on nonsensical parameters. */
+    void validate() const;
+};
+
+/**
+ * Poisson arrival times over [0, horizon_s), sorted ascending: the
+ * open-loop trace the benches offer both to the threaded runtime and to
+ * LiveServingRuntime::replay.
+ */
+std::vector<double> poissonArrivals(double arrival_rate, double horizon_s,
+                                    std::uint64_t seed);
 
 /** Terminal outcome of one admitted request. */
 enum class LiveRequestStatus
@@ -74,7 +120,8 @@ struct LiveRequestResult
     LiveRequestStatus status = LiveRequestStatus::Failed;
     std::uint64_t request_id = 0;
     std::uint64_t tenant = 0;
-    /** Batch the request executed in (0 when shed pre-dispatch). */
+    /** Dispatched batch the request executed in, bisection halves
+     * included (0 when shed pre-dispatch). */
     std::uint64_t batch_id = 0;
     /** Requests in that batch (0 when shed pre-dispatch). */
     std::size_t batch_size = 0;
@@ -107,8 +154,7 @@ class BatchExecutor
      * Executes @p tokens ((batch*seq_len) x hidden) and returns the
      * output with identical shape. @p degraded is true on retry
      * attempts and while the circuit breaker holds the primary path
-     * open: implementations may fall back to a slower-but-safer path
-     * (mirroring the simulator's degraded service factor).
+     * open: implementations may fall back to a slower-but-safer path.
      */
     virtual Tensor execute(const Tensor &tokens, std::size_t seq_len,
                            bool degraded) = 0;
@@ -135,6 +181,47 @@ class FunctionalBatchExecutor final : public BatchExecutor
     LinearBackendKind backend_;
 };
 
+/**
+ * BatchExecutor that computes nothing: it sleeps a batch's modeled PIM
+ * latency on a clock, pricing each batch shape with
+ * PimDlEngine::estimate under one SchedulePolicy. A batch of
+ * tokens.rows() / seq_len requests is priced as @p model at that batch
+ * size. Degraded attempts re-execute on the remapped engine and cost
+ * kDegradedServiceFactor times as long. Prices are memoized per batch
+ * size; safe to call concurrently.
+ */
+class ModeledBatchExecutor final : public BatchExecutor
+{
+  public:
+    /** Service-time multiplier of a degraded attempt. */
+    static constexpr double kDegradedServiceFactor = 1.5;
+
+    /** @p engine and @p clock outlive the executor. */
+    ModeledBatchExecutor(const PimDlEngine &engine,
+                         const TransformerConfig &model,
+                         const LutNnParams &params, SchedulePolicy policy,
+                         Clock &clock)
+        : engine_(engine), model_(model), params_(params),
+          policy_(policy), clock_(clock)
+    {}
+
+    Tensor execute(const Tensor &tokens, std::size_t seq_len,
+                   bool degraded) override;
+
+    /** Modeled latency of one batch of @p batch requests, seconds. */
+    double batchLatency(std::size_t batch) const PIMDL_EXCLUDES(memo_mu_);
+
+  private:
+    const PimDlEngine &engine_;
+    TransformerConfig model_;
+    LutNnParams params_;
+    SchedulePolicy policy_;
+    Clock &clock_;
+    /** Guards memo_ (sweeps price batch shapes in parallel). */
+    mutable Mutex memo_mu_{"serving.modeled.latency_memo"};
+    mutable std::map<std::size_t, double> memo_ PIMDL_GUARDED_BY(memo_mu_);
+};
+
 /** Policy knobs of the live runtime. */
 struct LiveServingConfig
 {
@@ -151,12 +238,13 @@ struct LiveServingConfig
      * submit() may override per request with an explicit budget. */
     double deadline_s = 0.0;
     /** Pad dispatched batches to the next power of two (bounded by
-     * max_batch), matching the simulator's shape bucketing. */
+     * max_batch): standard bucketing that bounds the number of
+     * distinct shapes the auto-tuner must plan for. */
     bool pow2_buckets = true;
     /** Slice per-request outputs out of the batch output (off for
      * load tests that only measure latency). */
     bool collect_outputs = true;
-    /** Per-batch fault semantics, shared with the simulator. */
+    /** Per-batch fault semantics. */
     ServingFaultProfile faults;
     /** Control-plane resilience switches: watchdog, breaker, AIMD. */
     ResilienceConfig resilience;
@@ -213,13 +301,49 @@ struct LiveServingStats
     double p50_latency_s = 0.0;
     double p95_latency_s = 0.0;
     double p99_latency_s = 0.0;
-    double mean_queue_wait_s = 0.0;
     /** Current AIMD in-flight limit (the static pipeline capacity
      * when AIMD is off). */
     double inflight_limit = 0.0;
     /** completed / admitted (submitted - rejected). */
     double availability = 1.0;
 };
+
+/** What LiveServingRuntime::replay returns. */
+struct LiveReplay
+{
+    LiveServingStats stats;
+    /** One outcome per arrival, in arrival order; nullopt when
+     * admission control rejected it. */
+    std::vector<std::optional<LiveRequestResult>> requests;
+    /** Virtual seconds from the replay's start until the last request
+     * resolved. */
+    double span_s = 0.0;
+
+    /** Served requests (within or past their deadline) per second. */
+    double
+    throughputRps() const
+    {
+        return static_cast<double>(stats.completed + stats.timed_out) /
+               std::max(span_s, 1e-9);
+    }
+
+    /** Requests served within their deadline per second. */
+    double
+    goodputRps() const
+    {
+        return static_cast<double>(stats.completed) /
+               std::max(span_s, 1e-9);
+    }
+
+    /** Fraction of the span the worker spent executing batches. */
+    double
+    utilization() const
+    {
+        return stats.busy_s / std::max(span_s, 1e-9);
+    }
+};
+
+class ReplayClock;
 
 /**
  * The live serving runtime: one batcher thread, a worker pool, an
@@ -281,7 +405,37 @@ class LiveServingRuntime
 
     const LiveServingConfig &config() const { return config_; }
 
+    /**
+     * Replays @p arrivals (seconds after @p clock's current time,
+     * ascending) through a runtime that starts no threads: one thread
+     * steps arrivals, batch closes, and the worker's batch starts and
+     * completions in virtual time on @p clock, and admission closes
+     * after the last arrival. The replay only orders events; batching,
+     * shedding, the retry ladder, bisection, breaker, AIMD and stats
+     * are the runtime's own code. Each request is a 1x1 tensor
+     * (seq_len 1), so a batch's rows are its (bucketed) size;
+     * @p executor must sleep its service time on @p clock
+     * (ModeledBatchExecutor does). Requires workers == 1, no
+     * resilience.watchdog and no @p chaos: the watchdog and chaos
+     * injection run on threads only.
+     */
+    static LiveReplay replay(const LiveServingConfig &config,
+                             BatchExecutor &executor, ReplayClock &clock,
+                             const std::vector<double> &arrivals,
+                             const ChaosInjector *chaos = nullptr);
+
   private:
+    class Drive;
+    friend class ReplayClock;
+
+    /** Tag of the constructor that starts no threads (replay). */
+    struct Unstarted
+    {
+    };
+    LiveServingRuntime(Unstarted, const LiveServingConfig &config,
+                       BatchExecutor &executor, Clock *clock,
+                       const ChaosInjector *chaos);
+
     struct PendingRequest
     {
         std::uint64_t id = 0;
@@ -308,13 +462,27 @@ class LiveServingRuntime
 
     struct BatchTask
     {
+        /** Dispatch id; bisection halves keep their batch's id. */
         std::uint64_t id = 0;
         /** Retry-ladder attempts already consumed (watchdog
          * re-dispatch continues where the seized worker stopped). */
         std::size_t attempts_done = 0;
-        /** True for sub-batches produced by poison bisection. */
-        bool bisected = false;
+        /** Place in the bisection tree: 1 for a dispatched batch, 2p
+         * and 2p + 1 for the halves of p. */
+        std::uint64_t split_path = 1;
         std::vector<std::unique_ptr<PendingRequest>> requests;
+
+        /**
+         * Key of the batch's per-attempt draws (fault ladder, chaos):
+         * the dispatch id, with the split path above bit 40 for a
+         * bisection half. Halves draw afresh without taking dispatch
+         * ids, so a bisection never shifts a later batch's draws.
+         */
+        std::uint64_t
+        drawKey() const
+        {
+            return id | ((split_path - 1) << 40);
+        }
     };
 
     /**
@@ -332,7 +500,7 @@ class LiveServingRuntime
         bool seized PIMDL_GUARDED_BY(mu) = false;
         std::uint64_t batch_id PIMDL_GUARDED_BY(mu) = 0;
         std::size_t attempts_done PIMDL_GUARDED_BY(mu) = 0;
-        bool bisected PIMDL_GUARDED_BY(mu) = false;
+        std::uint64_t split_path PIMDL_GUARDED_BY(mu) = 1;
         double heartbeat_s PIMDL_GUARDED_BY(mu) = 0.0;
         std::vector<std::unique_ptr<PendingRequest>> requests
             PIMDL_GUARDED_BY(mu);
@@ -381,8 +549,28 @@ class LiveServingRuntime
     void batcherLoop();
     void workerLoop(std::shared_ptr<WorkerState> ws);
     void watchdogLoop();
-    /** Sheds past-deadline requests, assigns the batch id, enqueues. */
+    /**
+     * The flush rule of the batcher and of replay: seconds the forming
+     * batch @p task may still wait for requests at @p now, 0 once it is
+     * full or its oldest request has waited max_wait_s.
+     */
+    double batchOpenForS(const BatchTask &task, double now) const;
+    /** True once drain closed the request queue and it ran empty: the
+     * forming batch flushes whatever it holds. */
+    bool
+    requestQueueDrained() const
+    {
+        return request_queue_.closed() && request_queue_.empty();
+    }
+    /** Sheds the requests past their deadline at @p now and assigns
+     * the batch id; false when nothing is left to execute. */
+    bool seal(BatchTask &task, double now) PIMDL_EXCLUDES(stats_mu_);
+    /** Seals @p task and enqueues it, blocking while the work queue is
+     * full. */
     void dispatch(BatchTask &&task) PIMDL_EXCLUDES(stats_mu_);
+    /** Stops admission: later submits reject, and the batcher flushes
+     * once the request queue runs empty. */
+    void closeAdmission();
     void executeBatch(BatchTask task, WorkerState *ws)
         PIMDL_EXCLUDES(stats_mu_);
     void fulfillShed(std::unique_ptr<PendingRequest> req, double now,
@@ -439,7 +627,6 @@ class LiveServingRuntime
     LiveServingStats acc_ PIMDL_GUARDED_BY(stats_mu_);
     double batch_size_sum_ PIMDL_GUARDED_BY(stats_mu_) = 0.0;
     std::vector<double> latencies_ PIMDL_GUARDED_BY(stats_mu_);
-    std::vector<double> queue_waits_ PIMDL_GUARDED_BY(stats_mu_);
     /** Shape pin: every request must match the first one. */
     std::size_t pinned_rows_ PIMDL_GUARDED_BY(stats_mu_) = 0;
     std::size_t pinned_cols_ PIMDL_GUARDED_BY(stats_mu_) = 0;
@@ -451,6 +638,28 @@ class LiveServingRuntime
     mutable Mutex workers_mu_{"serving.live.workers"};
     std::vector<WorkerSlot> slots_ PIMDL_GUARDED_BY(workers_mu_);
     std::vector<std::thread> zombies_ PIMDL_GUARDED_BY(workers_mu_);
+};
+
+/**
+ * The clock of LiveServingRuntime::replay: a ManualClock (whole
+ * nanoseconds) that moves only when something sleeps on it. While a
+ * replay runs, a sleep first delivers, each at its own time, every
+ * arrival and batch close due by the time the sleep ends. An executor
+ * that sleeps its service time on this clock thus lets requests arrive,
+ * and batches close, while its batch executes.
+ */
+class ReplayClock final : public Clock
+{
+  public:
+    double now() const override { return time_.now(); }
+    void sleepFor(double seconds) override;
+    bool isVirtual() const override { return true; }
+
+  private:
+    friend class LiveServingRuntime;
+    ManualClock time_;
+    /** The replay in progress; null outside LiveServingRuntime::replay. */
+    LiveServingRuntime::Drive *drive_ = nullptr;
 };
 
 } // namespace pimdl

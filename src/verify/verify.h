@@ -4,7 +4,7 @@
  * over the Plan IR plus standalone checks for schedules and degraded
  * remaps.
  *
- * The analytical engine, the serving simulator, and the benches all
+ * The analytical engine, the serving replays, and the benches all
  * consume plans produced by lowering + mapping attachment. Each of
  * those stages has invariants (topological order, device legality,
  * shape/dtype flow, per-platform capacity, schedule hazards) that used

@@ -1,9 +1,9 @@
 /**
  * @file
  * Concurrency stress tests targeting the mutex-guarded state the
- * thread-safety annotations (common/thread_annotations.h) protect:
- * the tune memo, the metrics registry, the serving latency cache, and
- * the fault injector's forced-failure set. Functionally they assert
+ * thread-safety annotations (common/thread_annotations.h) protect: the
+ * tune memo, the metrics registry, the modeled executor's latency memo,
+ * and the fault injector's forced-failure set. Functionally they assert
  * determinism and cache coherence; under the ThreadSanitizer build
  * (PIMDL_TSAN, CI "tsan" job) they double as race detectors, so every
  * scenario drives real cross-thread contention with std::thread —
@@ -25,7 +25,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/lut_executor.h"
-#include "runtime/serving.h"
+#include "runtime/serving_live.h"
 #include "tuner/tune_memo.h"
 
 namespace pimdl {
@@ -120,14 +120,15 @@ TEST(ConcurrencyStress, ServingLatencyCacheUnderConcurrentSweeps)
     PimDlEngine engine(upmemPlatform(), xeon4210Dual());
     const TransformerConfig model =
         customTransformer("stress-serve", 128, 1, 32, 2);
-    const ServingSimulator sim(engine, model, LutNnParams{4, 16});
+    ReplayClock clock;
+    const ModeledBatchExecutor executor(engine, model, LutNnParams{4, 16},
+                                        SchedulePolicy::Sequential, clock);
 
     std::vector<double> latency(kThreads, 0.0);
     onThreads([&](std::size_t t) {
         for (std::size_t i = 0; i < 6; ++i) {
             const std::size_t batch = 1 + (t + i) % 4;
-            const double l =
-                sim.batchLatency(batch, SchedulePolicy::Sequential);
+            const double l = executor.batchLatency(batch);
             ASSERT_GT(l, 0.0);
             if (batch == 1)
                 latency[t] = l;
@@ -135,8 +136,7 @@ TEST(ConcurrencyStress, ServingLatencyCacheUnderConcurrentSweeps)
     });
 
     // Every thread observed the same memoized latency for batch 1.
-    const double expected =
-        sim.batchLatency(1, SchedulePolicy::Sequential);
+    const double expected = executor.batchLatency(1);
     for (double l : latency)
         EXPECT_DOUBLE_EQ(l, expected);
 }

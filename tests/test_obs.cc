@@ -17,7 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/trace.h"
-#include "runtime/serving.h"
+#include "runtime/serving_live.h"
 
 namespace pimdl {
 namespace {
@@ -399,21 +399,23 @@ TEST(ObsSnapshot, InstrumentedStackPublishesRequiredKeys)
     const LutNnParams params{4, 16};
     (void)engine.estimatePimDl(model, params);
 
-    ServingSimulator sim(engine, model, params);
-    ServingConfig cfg;
-    cfg.arrival_rate = 5.0;
+    ReplayClock clock;
+    ModeledBatchExecutor executor(engine, model, params,
+                                  SchedulePolicy::Sequential, clock);
+    LiveServingConfig cfg;
     cfg.max_batch = 8;
     cfg.max_wait_s = 0.1;
-    cfg.horizon_s = 10.0;
-    (void)sim.simulate(cfg);
+    (void)LiveServingRuntime::replay(cfg, executor, clock,
+                                     poissonArrivals(5.0, 10.0, 1));
 
     const std::string json = obs::snapshotJson();
     EXPECT_TRUE(JsonChecker(json).valid());
     for (const char *key :
          {"\"engine.role.QKV.ccs_s\"", "\"engine.role.QKV.lut_s\"",
           "\"engine.role.FFN2.ccs_s\"", "\"engine.ccs_s\"",
-          "\"engine.lut_s\"", "\"serving.request_latency_s\"",
-          "\"serving.batch_size\"", "\"serving.queue_depth\"",
+          "\"engine.lut_s\"", "\"serving.live.request_latency_s\"",
+          "\"serving.live.batch_size\"",
+          "\"serving.live.batch_queue_depth\"",
           "\"tuner.searches\"", "\"tuner.mappings_evaluated\"",
           "\"tuner.mappings_pruned\"", "\"tuner.search_wall_s\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;

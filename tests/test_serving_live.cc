@@ -435,6 +435,33 @@ TEST(ServingLive, ConservationHoldsWithTimeouts)
     EXPECT_DOUBLE_EQ(stats.availability, 0.4);
 }
 
+TEST(ServingLive, MismatchedSubmitThrowsWithoutBreakingConservation)
+{
+    ManualClock clock;
+    StubExecutor executor;
+    LiveServingConfig cfg;
+    cfg.max_batch = 2;
+    LiveServingRuntime runtime(cfg, executor, &clock);
+
+    auto ok = runtime.submit(requestTensor(2, 4, 1));
+    ASSERT_TRUE(ok.has_value());
+    EXPECT_THROW((void)runtime.submit(requestTensor(3, 4, 2)),
+                 std::runtime_error)
+        << "a request of another shape must be refused";
+    auto ok2 = runtime.submit(requestTensor(2, 4, 3));
+    ASSERT_TRUE(ok2.has_value());
+    EXPECT_EQ(ok->get().status, LiveRequestStatus::Completed);
+    EXPECT_EQ(ok2->get().status, LiveRequestStatus::Completed);
+    runtime.drain();
+
+    const LiveServingStats stats = runtime.stats();
+    EXPECT_EQ(stats.submitted, 2u) << "the thrown submit is not counted";
+    EXPECT_EQ(stats.completed + stats.timed_out + stats.shed +
+                  stats.failed_requests,
+              stats.submitted - stats.rejected);
+    EXPECT_DOUBLE_EQ(stats.availability, 1.0);
+}
+
 TEST(ServingLive, InjectedFaultsExhaustRetryLadder)
 {
     ManualClock clock;
