@@ -629,8 +629,17 @@ onMutexTryAcquired(const void *mu, const char *name, LockSite site)
 void
 onMutexRelease(const void *mu)
 {
-    if (!deadlockCheckActive() || t_in_tracker)
+    if (t_in_tracker)
         return;
+    if (!deadlockCheckActive()) {
+        // A lock taken while the check was on and released after it was
+        // switched off must still leave the held stack, or a long-lived
+        // thread (a parallelFor pool worker) that takes it again reads
+        // as a self-deadlock.
+        if (!t_held.empty())
+            popHeld(mu);
+        return;
+    }
     t_in_tracker = true;
     struct Guard
     {

@@ -1,8 +1,12 @@
 #include "parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <deque>
 #include <exception>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -21,7 +25,7 @@ secondsSince(const std::chrono::steady_clock::time_point &start)
         .count();
 }
 
-/** First exception thrown by any worker, kept under its own lock so
+/** First exception thrown by any shard, kept under its own lock so
  * the thread-safety analysis can check the cross-thread handoff. */
 struct ErrorSlot
 {
@@ -42,6 +46,139 @@ struct ErrorSlot
         MutexLock guard(mu);
         return first;
     }
+};
+
+/**
+ * One parallelForBlocked call: `shards` contiguous ranges of `chunk`
+ * indices (the last one shorter). It lives on the caller's stack; a
+ * pool worker touches it only between claiming a shard and retiring
+ * that shard.
+ */
+struct Job
+{
+    const std::function<void(std::size_t, std::size_t)> *body = nullptr;
+    std::size_t count = 0;
+    std::size_t chunk = 0;
+    std::size_t shards = 0;
+    /** Next unclaimed shard; read and written under the pool's mutex. */
+    std::size_t next = 0;
+    /** Shards not yet finished; the caller returns once it reads 0. */
+    std::atomic<std::size_t> unfinished{0};
+    ErrorSlot error;
+    std::vector<double> busy_s;
+};
+
+/**
+ * The persistent worker pool behind every multi-shard call. Workers
+ * start once, on the first such call, so they inherit that caller's
+ * CPU affinity, and they are never joined: the pool lives for the
+ * whole process, so no worker can outlive state it reads at exit.
+ *
+ * The caller claims its own job's shards too, in order, until none is
+ * left; it then waits only for shards already running on workers. A
+ * job therefore finishes even when every worker is busy, which keeps
+ * nested calls (a body calling parallelFor) and concurrent callers
+ * (live serving workers) deadlock-free. The pool's mutex guards only
+ * the queue and the claim counters; no lock is held while a body
+ * runs, and the caller's wait is an atomic wait, not a CondVar, so a
+ * caller holding its own lock is never a wait-while-holding.
+ */
+class Pool
+{
+  public:
+    static Pool &
+    instance()
+    {
+        // Never destroyed (see the class comment).
+        static Pool *const pool = new Pool();
+        return *pool;
+    }
+
+    void
+    run(Job &job) PIMDL_EXCLUDES(mu_)
+    {
+        std::call_once(started_, [this] {
+            for (std::size_t w = 1; w < parallelWorkerCount(); ++w)
+                std::thread([this] { workerLoop(); }).detach();
+        });
+        {
+            MutexLock lock(mu_);
+            queue_.push_back(&job);
+        }
+        work_.notifyAll();
+        for (std::size_t shard = 0; claimOwn(job, &shard);)
+            runShard(job, shard);
+        for (;;) {
+            const std::uint32_t seen =
+                retired_.load(std::memory_order_acquire);
+            if (job.unfinished.load(std::memory_order_acquire) == 0)
+                return;
+            retired_.wait(seen, std::memory_order_acquire);
+        }
+    }
+
+  private:
+    Pool() = default;
+
+    /** Claims the caller's next shard; false once all are claimed. */
+    bool
+    claimOwn(Job &job, std::size_t *shard) PIMDL_EXCLUDES(mu_)
+    {
+        MutexLock lock(mu_);
+        if (job.next == job.shards)
+            return false;
+        *shard = job.next++;
+        if (job.next == job.shards)
+            queue_.erase(std::find(queue_.begin(), queue_.end(), &job));
+        return true;
+    }
+
+    void
+    workerLoop() PIMDL_EXCLUDES(mu_)
+    {
+        for (;;) {
+            Job *job = nullptr;
+            std::size_t shard = 0;
+            {
+                MutexLock lock(mu_);
+                while (queue_.empty())
+                    work_.wait(mu_);
+                job = queue_.front();
+                shard = job->next++;
+                if (job->next == job->shards)
+                    queue_.pop_front();
+            }
+            runShard(*job, shard);
+        }
+    }
+
+    /** Runs one shard; the last shard of a job to finish wakes the
+     * waiting caller. @p job is not touched after its count drops. */
+    void
+    runShard(Job &job, std::size_t shard)
+    {
+        const std::size_t begin = shard * job.chunk;
+        const std::size_t end = std::min(job.count, begin + job.chunk);
+        const auto start = std::chrono::steady_clock::now();
+        try {
+            (*job.body)(begin, end);
+        } catch (...) {
+            job.error.capture();
+        }
+        job.busy_s[shard] = secondsSince(start);
+        if (job.unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            retired_.fetch_add(1, std::memory_order_release);
+            retired_.notify_all();
+        }
+    }
+
+    Mutex mu_{"parallel.pool"};
+    CondVar work_{"parallel.pool.work"};
+    /** Jobs with unclaimed shards, oldest first. */
+    std::deque<Job *> queue_ PIMDL_GUARDED_BY(mu_);
+    std::once_flag started_;
+    /** Bumped each time a job's last shard finishes. */
+    std::atomic<std::uint32_t> retired_{0};
 };
 
 } // namespace
@@ -97,46 +234,30 @@ parallelForBlocked(std::size_t count, std::size_t grain,
         return;
     }
 
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    ErrorSlot error;
-    std::vector<double> busy_s(workers, 0.0);
-    const auto wall_start = std::chrono::steady_clock::now();
-
     // Contiguous shards, each a whole number of grains.
     const std::size_t grains_per_worker = (grains + workers - 1) / workers;
-    const std::size_t chunk = grains_per_worker * grain;
-    for (std::size_t w = 0; w < workers; ++w) {
-        const std::size_t begin = w * chunk;
-        const std::size_t end = std::min(count, begin + chunk);
-        if (begin >= end)
-            break;
-        pool.emplace_back([&, w, begin, end]() {
-            const auto start = std::chrono::steady_clock::now();
-            try {
-                body(begin, end);
-            } catch (...) {
-                error.capture();
-            }
-            busy_s[w] = secondsSince(start);
-        });
-    }
-    for (auto &t : pool)
-        t.join();
+    Job job;
+    job.body = &body;
+    job.count = count;
+    job.chunk = grains_per_worker * grain;
+    job.shards = (count + job.chunk - 1) / job.chunk;
+    job.unfinished.store(job.shards, std::memory_order_relaxed);
+    job.busy_s.assign(job.shards, 0.0);
+    const auto wall_start = std::chrono::steady_clock::now();
+    Pool::instance().run(job);
 
-    // Utilization = mean busy fraction across workers for this call;
+    // Utilization = mean busy fraction across shards for this call;
     // 1.0 means perfectly balanced shards, low values mean stragglers.
     const double wall = secondsSince(wall_start);
     if (wall > 0.0) {
         double busy_total = 0.0;
-        for (double b : busy_s)
+        for (double b : job.busy_s)
             busy_total += b;
-        utilization.record(
-            std::min(1.0, busy_total / (wall * static_cast<double>(
-                                                   pool.size()))));
+        utilization.record(std::min(
+            1.0, busy_total / (wall * static_cast<double>(job.shards))));
     }
 
-    if (std::exception_ptr first = error.take())
+    if (std::exception_ptr first = job.error.take())
         std::rethrow_exception(first);
 }
 

@@ -5,6 +5,13 @@
  * The functional PE simulator executes thousands of independent micro-
  * kernels; parallelFor shards them across hardware threads. On single-core
  * hosts it degrades gracefully to a serial loop.
+ *
+ * Shards run on one persistent pool of parallelWorkerCount() - 1
+ * workers, started by the first multi-shard call (they inherit that
+ * caller's CPU affinity), plus the calling thread, which claims shards
+ * of its own call too. So a body may itself call parallelFor, and any
+ * number of threads may call at once: every call finishes even when
+ * all workers are busy. No lock is held while a body runs.
  */
 
 #ifndef PIMDL_COMMON_PARALLEL_H
@@ -22,7 +29,7 @@ std::size_t parallelWorkerCount();
  * Invokes @p body(i) for every i in [0, count), sharding contiguous index
  * ranges across worker threads. The body must be safe to run concurrently
  * for distinct indices. Exceptions thrown by the body are rethrown on the
- * calling thread after all workers join.
+ * calling thread after every shard has finished.
  */
 void parallelFor(std::size_t count,
                  const std::function<void(std::size_t)> &body);
@@ -33,7 +40,9 @@ void parallelFor(std::size_t count,
  * final range). One std::function call per block instead of per index:
  * SIMD micro-kernels iterating rows inside the block amortize the
  * dispatch overhead and keep their working set contiguous. A grain of
- * 0 is treated as 1. Exceptions are rethrown after all workers join.
+ * 0 is treated as 1. The ranges depend only on @p count, @p grain and
+ * parallelWorkerCount(): min(workers, grains) shards of equal whole
+ * grains. Exceptions are rethrown after every shard has finished.
  */
 void parallelForBlocked(
     std::size_t count, std::size_t grain,

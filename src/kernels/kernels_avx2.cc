@@ -20,6 +20,12 @@
  *    across the lane permutation (see ccsArgminV4 for the argument).
  *  - Sub-vector lengths without a fast path fall back to the scalar
  *    reference, which is trivially bit-exact.
+ *
+ * Every entry returns with the upper YMM halves clean (CleanAvxState).
+ * GCC emits vzeroupper on most exits of a -mavx2 function but not on
+ * all of them, and a thread left dirty runs later SSE code with a
+ * false dependency on the upper state: the forward's gelu (glibc's SSE
+ * tanhf) took about 2x as long on the persistent parallelFor workers.
  */
 
 #include <immintrin.h>
@@ -35,6 +41,18 @@ namespace kernels {
 namespace detail {
 
 namespace {
+
+/**
+ * Scope guard for every table entry: vzeroupper on each exit, so the
+ * caller's SSE code never runs against dirty upper YMM state.
+ */
+struct CleanAvxState
+{
+    CleanAvxState() = default;
+    CleanAvxState(const CleanAvxState &) = delete;
+    CleanAvxState &operator=(const CleanAvxState &) = delete;
+    ~CleanAvxState() { _mm256_zeroupper(); }
+};
 
 /**
  * CCS argmin over one codebook with V == 4.
@@ -168,6 +186,7 @@ std::size_t
 avx2CcsArgmin(const float *v, const float *centroids, const float *norms2,
               std::size_t ct_count, std::size_t v_len)
 {
+    const CleanAvxState clean;
     if (v_len == 4)
         return ccsArgminV4(v, centroids, norms2, ct_count);
     return scalarCcsArgmin(v, centroids, norms2, ct_count, v_len);
@@ -180,6 +199,7 @@ avx2LutAccumF32(const std::uint16_t *idx, std::size_t idx_stride,
                 std::size_t col0, std::size_t f_count, float *dst,
                 std::size_t dst_stride)
 {
+    const CleanAvxState clean;
     const std::size_t vec_end = f_count - f_count % 8;
     for (std::size_t r = 0; r < nrows; ++r) {
         const std::uint16_t *idx_row = idx + r * idx_stride;
@@ -365,6 +385,7 @@ avx2LutAccumI8(const std::uint16_t *idx, std::size_t idx_stride,
                std::size_t f_dim, std::size_t col0, std::size_t f_count,
                float scale, float *dst, std::size_t dst_stride)
 {
+    const CleanAvxState clean;
     if (nrows == 0)
         return;
     if (f_dim < 16) {
@@ -416,6 +437,7 @@ avx2LutAccumI8(const std::uint16_t *idx, std::size_t idx_stride,
 void
 avx2AxpyF32(float a, const float *x, float *y, std::size_t n)
 {
+    const CleanAvxState clean;
     const std::size_t vec_end = n - n % 8;
     const __m256 va = _mm256_set1_ps(a);
     for (std::size_t j = 0; j < vec_end; j += 8) {

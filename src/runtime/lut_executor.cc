@@ -41,6 +41,15 @@ struct TileOutcome
     double extra_s = 0.0;
 };
 
+/**
+ * Output columns one fault-free kernel call covers: a block of
+ * kLaneBlockCols / fs_tile adjacent lanes. A 6-column tile alone uses
+ * 6 of every 8 SIMD lanes and one cache line per gathered LUT row; a
+ * block amortizes the call, the index loads and the lines over about
+ * three 32-column register blocks.
+ */
+constexpr std::size_t kLaneBlockCols = 96;
+
 /** Flips one bit of one float in a tile buffer (simulated corruption). */
 void
 flipTileBit(float *data, std::size_t slot, unsigned bit)
@@ -114,31 +123,36 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
         quantized ? sizeof(std::int8_t) : sizeof(float);
 
     // The bit-faithful reduction of @p nrows index rows of one group
-    // (row-major from idx0, stride indices.cols) against lane l's LUT
-    // columns, written row-major into dst with the given stride: one
-    // row-block kernel call. The index base is a parameter so the same
-    // call runs against the host tensor or a wave's staged copy —
-    // identical u16 values either way. The dispatched micro-kernels
-    // guarantee the operation order is identical no matter which PE —
-    // or the host — executes the rows, and no matter which ISA variant
-    // runs them, which is what keeps staged, degraded-mode and fallback
-    // outputs bit-exact. Quantized runs reduce INT8 entries into INT32
-    // accumulators that the kernel dequantizes on the way out.
+    // (row-major from idx0, stride indices.cols) against the LUT
+    // columns of the nl adjacent lanes from l0, written row-major into
+    // dst with the given stride: one row-block kernel call. Adjacent
+    // lanes' columns are contiguous, and the kernel sums every column
+    // on its own in ascending codebook order, so one call over a lane
+    // block writes the same bits as one call per lane. The index base
+    // is a parameter so the same call runs against the host tensor or
+    // a wave's staged copy — identical u16 values either way. The
+    // dispatched micro-kernels guarantee the operation order is
+    // identical no matter which PE — or the host — executes the rows,
+    // and no matter which ISA variant runs them, which is what keeps
+    // staged, degraded-mode and fallback outputs bit-exact. Quantized
+    // runs reduce INT8 entries into INT32 accumulators that the kernel
+    // dequantizes on the way out.
     const kernels::KernelTable &kt = kernels::best();
     kernels::recordLutWork(shape.n, cb, shape.f, elem);
     const auto computeRows = [&](const std::uint16_t *idx0,
                                  std::size_t nrows, float *dst,
-                                 std::size_t stride, std::size_t l) {
-        const std::size_t col0 = l * mapping.fs_tile;
+                                 std::size_t stride, std::size_t l0,
+                                 std::size_t nl) {
+        const std::size_t col0 = l0 * mapping.fs_tile;
+        const std::size_t cols = nl * mapping.fs_tile;
         if (quantized) {
             kt.lut_accum_i8(idx0, indices.cols, nrows, cb, shape.ct,
-                            layer.quantLutData(), shape.f, col0,
-                            mapping.fs_tile, layer.quantScale(), dst,
-                            stride);
+                            layer.quantLutData(), shape.f, col0, cols,
+                            layer.quantScale(), dst, stride);
         } else {
             kt.lut_accum_f32(idx0, indices.cols, nrows, cb, shape.ct,
-                             layer.lutData(), shape.f, col0,
-                             mapping.fs_tile, dst, stride);
+                             layer.lutData(), shape.f, col0, cols, dst,
+                             stride);
         }
     };
 
@@ -244,23 +258,18 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
     const double attempt_cost =
         result.cost.microKernelTotal() + result.cost.kernel_launch;
 
-    // Runs one (group, lane) tile over @p nrows index rows at idx0 into
-    // its output rows from row0. Fault-free, the PE reduces straight
-    // into the output. Faulted, each attempt draws its stall and crash,
-    // computes a scratch tile, stamps a checksum, and delivers only if
-    // the host-side re-checksum matches. A tile that exhausts its
-    // retries escalates: it is treated as running on a just-failed PE,
-    // and the host recomputes it from its own LUT copy, straight into
-    // the output. Under host fallback every tile escalates up front.
+    // Runs one faulted (group, lane) tile over @p nrows index rows at
+    // idx0 into its output rows from row0. Each attempt draws its stall
+    // and crash, computes a scratch tile, stamps a checksum, and
+    // delivers only if the host-side re-checksum matches. A tile that
+    // exhausts its retries escalates: it is treated as running on a
+    // just-failed PE, and the host recomputes it from its own LUT copy,
+    // straight into the output.
     const auto runTile = [&](std::size_t tile, const std::uint16_t *idx0,
                              std::size_t row0, std::size_t nrows) {
         const std::size_t l = tile % lanes;
         float *dst = out.rowPtr((tile / lanes) * mapping.ns_tile + row0) +
                      l * mapping.fs_tile;
-        if (faults == nullptr || host_fallback) {
-            computeRows(idx0, nrows, dst, out.cols(), l);
-            return;
-        }
         // Physical executor of this logical tile (survivor under
         // degraded mode, the owning PE otherwise).
         const std::size_t pe = remap.legal ? remap.tile_owner[tile] : tile;
@@ -279,7 +288,7 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
                 ++oc.transient;
             } else {
                 computeRows(idx0, nrows, scratch.data(), mapping.fs_tile,
-                            l);
+                            l, 1);
                 // The PE stamps a checksum on the tile it computed;
                 // corruption strikes after that stamp (in the resident
                 // LUT scrub window or on the wire), so the host-side
@@ -320,7 +329,7 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
             }
             if (attempt == retry.max_retries) {
                 oc.escalated = true;
-                computeRows(idx0, nrows, dst, out.cols(), l);
+                computeRows(idx0, nrows, dst, out.cols(), l, 1);
                 return;
             }
             // Capped exponential backoff, then re-execute.
@@ -329,8 +338,33 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
         }
     };
 
+    // Runs the (group, lane-block) item @p item: lanes_per_block
+    // adjacent lanes of one group (fewer in a group's last block).
+    // Fault-free — and under host fallback, where every tile escalates
+    // up front — the block is one kernel call straight into the output.
+    // Faulted, each of its tiles runs the attempt ladder on its own.
+    const std::size_t lanes_per_block =
+        std::max<std::size_t>(1, kLaneBlockCols / mapping.fs_tile);
+    const std::size_t blocks_per_group =
+        (lanes + lanes_per_block - 1) / lanes_per_block;
+    const auto runBlock = [&](std::size_t item, const std::uint16_t *idx0,
+                              std::size_t row0, std::size_t nrows) {
+        const std::size_t g = item / blocks_per_group;
+        const std::size_t l0 = (item % blocks_per_group) * lanes_per_block;
+        const std::size_t nl = std::min(lanes_per_block, lanes - l0);
+        if (faults == nullptr || host_fallback) {
+            computeRows(idx0, nrows,
+                        out.rowPtr(g * mapping.ns_tile + row0) +
+                            l0 * mapping.fs_tile,
+                        out.cols(), l0, nl);
+            return;
+        }
+        for (std::size_t l = l0; l < l0 + nl; ++l)
+            runTile(g * lanes + l, idx0, row0, nrows);
+    };
+
     // ---- The tile loop -----------------------------------------------
-    // One parallelFor over the (group, lane) tiles per index wave.
+    // One parallelFor over the (group, lane-block) items per index wave.
     // Fault-free runs with a staging engine split the index broadcast
     // into double-buffered row waves: wave w+1's staged fill runs on
     // the transfer thread while the lock-step PEs reduce wave w, so all
@@ -381,9 +415,10 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
             if (w + 1 < waves)
                 tickets[(w + 1) % 2] = stageWave(w + 1);
         }
-        parallelFor(tiles, [&](std::size_t tile) {
-            runTile(tile, base + (tile / lanes) * nrows * indices.cols,
-                    row0, nrows);
+        parallelFor(groups * blocks_per_group, [&](std::size_t item) {
+            runBlock(item,
+                     base + (item / blocks_per_group) * nrows * indices.cols,
+                     row0, nrows);
         });
         if (staged) {
             const double frac = static_cast<double>(nrows) / ns_total;

@@ -1,10 +1,15 @@
 /** @file Tests for common utilities: logging, tables, parallel. */
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/lockorder.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/table.h"
@@ -140,6 +145,108 @@ TEST(ParallelBlocked, PropagatesExceptions)
                                    throw std::runtime_error("boom");
                            }),
         std::runtime_error);
+}
+
+TEST(ParallelPool, ConcurrentCallersEachCoverEveryIndexOnce)
+{
+    // Eight threads share the pool at once, each with its own calls;
+    // every index of every call runs exactly once.
+    constexpr std::size_t kCallers = 8;
+    constexpr std::size_t kCalls = 20;
+    constexpr std::size_t kCount = 517;
+    std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+    for (auto &h : hits)
+        h = std::vector<std::atomic<int>>(kCalls * kCount);
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&hits, c] {
+            for (std::size_t call = 0; call < kCalls; ++call) {
+                parallelForBlocked(
+                    kCount, 1 + call % 7,
+                    [&](std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i)
+                            hits[c][call * kCount + i]++;
+                    });
+            }
+        });
+    }
+    for (auto &t : callers)
+        t.join();
+    for (const auto &h : hits) {
+        for (const auto &x : h)
+            ASSERT_EQ(x.load(), 1);
+    }
+}
+
+TEST(ParallelPool, NestedCallInsideBody)
+{
+    // Every outer shard calls parallelFor itself; the inner calls
+    // finish even while every worker is busy with an outer shard.
+    constexpr std::size_t kOuter = 16;
+    constexpr std::size_t kInner = 300;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    parallelFor(kOuter, [&](std::size_t o) {
+        parallelFor(kInner,
+                    [&](std::size_t i) { hits[o * kInner + i]++; });
+    });
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelPool, ThrowIsRethrownAfterEveryShardFinishes)
+{
+    // The shard holding index 0 throws; the call rethrows only once
+    // every other shard has run to its end, and the pool serves the
+    // next call as usual.
+    const std::size_t count = 4 * parallelWorkerCount();
+    std::atomic<std::size_t> finished{0};
+    EXPECT_THROW(parallelForBlocked(
+                     count, 1,
+                     [&](std::size_t begin, std::size_t end) {
+                         if (begin == 0)
+                             throw std::runtime_error("boom");
+                         finished += end - begin;
+                     }),
+                 std::runtime_error);
+    const std::size_t shard = count / std::min(parallelWorkerCount(), count);
+    EXPECT_EQ(finished.load(), count - shard);
+
+    std::vector<std::atomic<int>> hits(1000);
+    parallelFor(hits.size(), [&](std::size_t i) { hits[i]++; });
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelPool, BodyLockRecordsNoEdgeFromPoolLock)
+{
+    // Under the lock-order detector with the fatal policy, a body that
+    // takes a named Mutex adds no order edge: the pool holds none of
+    // its locks while a body runs, so no parallel.pool -> body edge
+    // exists to close a cycle later.
+    const bool prev_enabled = analysis::deadlockCheckEnabled();
+    const analysis::LockOrderPolicy prev_policy =
+        analysis::lockOrderPolicy();
+    analysis::setDeadlockCheckEnabled(true);
+    analysis::setLockOrderPolicy(analysis::LockOrderPolicy::Fatal);
+    {
+        Mutex body_mu{"test.parallel.body"};
+        std::size_t sum = 0;
+        const analysis::LockOrderStats before = analysis::lockOrderStats();
+        for (int call = 0; call < 10; ++call) {
+            parallelFor(64, [&](std::size_t i) {
+                MutexLock lock(body_mu);
+                sum += i;
+            });
+        }
+        const analysis::LockOrderStats after = analysis::lockOrderStats();
+        EXPECT_EQ(sum, 10u * (64u * 63u / 2u));
+        EXPECT_GT(after.acquisitions, before.acquisitions);
+        EXPECT_EQ(after.edges_added, before.edges_added);
+        EXPECT_EQ(after.cycles, before.cycles);
+        EXPECT_EQ(after.wait_while_holding, before.wait_while_holding);
+    }
+    analysis::setLockOrderPolicy(prev_policy);
+    analysis::setDeadlockCheckEnabled(prev_enabled);
 }
 
 } // namespace

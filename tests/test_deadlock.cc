@@ -333,6 +333,25 @@ TEST_F(LockOrderTest, DisableSwitchMakesHooksInert)
     EXPECT_TRUE(analysis::deadlockCheckEnabled());
 }
 
+/** A lock taken while the check is on and released after it is
+ * switched off still leaves the held stack, so a long-lived thread (a
+ * parallelFor pool worker) that takes it again is no self-lock. */
+TEST_F(LockOrderTest, ReleaseWhileDisabledLeavesNoStaleEntry)
+{
+    Mutex mu{"test.deadlock.toggle"};
+    const analysis::LockOrderStats before = analysis::lockOrderStats();
+    mu.lock();
+    analysis::setDeadlockCheckEnabled(false);
+    mu.unlock();
+    analysis::setDeadlockCheckEnabled(true);
+    {
+        MutexLock lock(mu);
+    }
+    const analysis::LockOrderStats after = analysis::lockOrderStats();
+    EXPECT_EQ(after.self_locks, before.self_locks);
+    EXPECT_TRUE(captured(analysis::ViolationKind::SelfLock).empty());
+}
+
 /** Blocking on a CondVar while a DIFFERENT mutex stays held keeps that
  * mutex locked for the whole wait — a stall the order graph cannot
  * represent, caught by the dedicated CondVar hook. */

@@ -3,13 +3,19 @@
  * Kernel-dispatch layer tests: bit-parity of every compiled-in SIMD
  * implementation against the scalar reference across odd shapes (lane
  * tails, one-row, one-centroid), dispatch selection via the runtime
- * override and the PIMDL_KERNEL_IMPL environment default, and a
- * pinned golden for one BERT-base CCS+LUT block.
+ * override and the PIMDL_KERNEL_IMPL environment default, a pinned
+ * golden for one BERT-base CCS+LUT block, and the clean-AVX-state
+ * contract of every entry.
  */
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -32,6 +38,7 @@ class KernelDispatchGuard : public ::testing::Test
 using KernelDispatch = KernelDispatchGuard;
 using KernelParity = KernelDispatchGuard;
 using KernelGolden = KernelDispatchGuard;
+using KernelState = KernelDispatchGuard;
 
 std::vector<float>
 randomFloats(Rng &rng, std::size_t n)
@@ -113,6 +120,39 @@ tileWindows(std::size_t f_dim)
         wins.push_back({f_dim - fs, fs});
     }
     return wins;
+}
+
+/** XINUSE bit 2: the upper YMM halves hold non-initial state. */
+constexpr std::uint64_t kAvxUpperInUse = std::uint64_t{1} << 2;
+
+/** True when XGETBV with ECX=1 (the XINUSE read) is supported:
+ * CPUID.(EAX=0DH,ECX=1):EAX[2], with the OS having enabled XSAVE. */
+bool
+xinuseReadable()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (__get_cpuid(1, &a, &b, &c, &d) == 0 || (c & (1u << 27)) == 0)
+        return false;
+    if (__get_cpuid_count(0xD, 1, &a, &b, &c, &d) == 0)
+        return false;
+    return (a & (1u << 2)) != 0;
+#else
+    return false;
+#endif
+}
+
+/** XGETBV(ECX=1); only valid when xinuseReadable(). */
+std::uint64_t
+readXinuse()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    unsigned lo = 0, hi = 0;
+    __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1u));
+    return (static_cast<std::uint64_t>(hi) << 32) | lo;
+#else
+    return 0;
+#endif
 }
 
 } // namespace
@@ -493,4 +533,103 @@ TEST_F(KernelGolden, BertBaseCcsLutBlock)
     EXPECT_EQ(idx_sum, 0x602427112B6CC7BEULL);
     EXPECT_EQ(fp32_sum, 0x20FDDB39D631D753ULL);
     EXPECT_EQ(int8_sum, 0x637B67DC3888EC07ULL);
+}
+
+TEST_F(KernelState, EveryEntryReturnsWithCleanUpperYmm)
+{
+    // A kernel that returns with dirty upper YMM halves slows later
+    // SSE code on that thread (the forward's gelu, glibc's SSE tanhf,
+    // took about 2x as long on the persistent parallelFor workers).
+    // XINUSE is read right after each call, before any other code of
+    // this test runs.
+    if (!xinuseReadable())
+        GTEST_SKIP() << "XGETBV with ECX=1 is not supported here";
+    Rng rng(47);
+    std::vector<std::string> dirty;
+    // Each read is its own statement, before the label is built: a
+    // glibc AVX2 string routine ends in vzeroupper and would hide a
+    // dirty return.
+    std::uint64_t xinuse = 0;
+    const auto check = [&](std::uint64_t state,
+                           const kernels::KernelTable &impl,
+                           const std::string &what) {
+        if ((state & kAvxUpperInUse) != 0)
+            dirty.push_back(std::string(impl.name) + " " + what);
+    };
+
+    // LUT entries: whole rows, an odd tail, and the fs 6/9/12/16
+    // windows at the first and last lane (the 16-column window takes
+    // the AVX2 INT8 kernel's two-register window path). A 9-column
+    // row takes the scalar fallback inside the AVX2 entry.
+    const std::size_t cb_count = 37;
+    const std::size_t ct_count = 16;
+    const std::size_t nrows = 5;
+    for (std::size_t f_dim : {9u, 40u, 768u}) {
+        std::vector<Window> wins = {{0, f_dim},
+                                    {f_dim / 3, f_dim - f_dim / 3}};
+        for (std::size_t fs : {6u, 9u, 12u, 16u}) {
+            if (fs > f_dim)
+                continue;
+            wins.push_back({0, fs});
+            wins.push_back({f_dim - fs, fs});
+        }
+        const auto lut8 = randomInt8(rng, cb_count * ct_count * f_dim);
+        const auto lut32 = randomFloats(rng, cb_count * ct_count * f_dim);
+        const auto idx = randomIndices(rng, nrows * cb_count, ct_count);
+        std::vector<float> dst(nrows * f_dim);
+        for (const kernels::KernelTable *impl :
+             kernels::availableKernels()) {
+            for (const Window &win : wins) {
+                const std::string shape =
+                    "f=" + std::to_string(f_dim) +
+                    " col0=" + std::to_string(win.col0) +
+                    " count=" + std::to_string(win.f_count);
+                impl->lut_accum_i8(idx.data(), cb_count, nrows, cb_count,
+                                   ct_count, lut8.data(), f_dim, win.col0,
+                                   win.f_count, 0.5f, dst.data(), f_dim);
+                xinuse = readXinuse();
+                check(xinuse, *impl, "lut_accum_i8 " + shape);
+                impl->lut_accum_f32(idx.data(), cb_count, nrows, cb_count,
+                                    ct_count, lut32.data(), f_dim,
+                                    win.col0, win.f_count, dst.data(),
+                                    f_dim);
+                xinuse = readXinuse();
+                check(xinuse, *impl, "lut_accum_f32 " + shape);
+            }
+        }
+    }
+
+    // CCS: the V=4 fast path (with and without a centroid tail) and
+    // the scalar fallback for other sub-vector lengths.
+    for (std::size_t v_len : {3u, 4u}) {
+        for (std::size_t cts : {16u, 19u}) {
+            const auto v = randomFloats(rng, v_len);
+            const auto centroids = randomFloats(rng, cts * v_len);
+            const auto norms = centroidNorms(centroids, cts, v_len);
+            for (const kernels::KernelTable *impl :
+                 kernels::availableKernels()) {
+                impl->ccs_argmin(v.data(), centroids.data(), norms.data(),
+                                 cts, v_len);
+                xinuse = readXinuse();
+                check(xinuse, *impl,
+                      "ccs_argmin v=" + std::to_string(v_len) +
+                          " ct=" + std::to_string(cts));
+            }
+        }
+    }
+
+    // axpy: vector body plus tail, and tail only.
+    for (std::size_t n : {7u, 1027u}) {
+        const auto x = randomFloats(rng, n);
+        std::vector<float> y = randomFloats(rng, n);
+        for (const kernels::KernelTable *impl :
+             kernels::availableKernels()) {
+            impl->axpy_f32(0.25f, x.data(), y.data(), n);
+            xinuse = readXinuse();
+            check(xinuse, *impl, "axpy n=" + std::to_string(n));
+        }
+    }
+
+    for (const std::string &entry : dirty)
+        ADD_FAILURE() << "upper YMM state dirty after " << entry;
 }

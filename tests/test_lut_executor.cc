@@ -1,5 +1,7 @@
 /** @file Distributed LUT execution tests: per-PE tiles vs monolithic. */
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "lutnn/converter.h"
@@ -86,6 +88,42 @@ TEST(LutExecutor, QuantizedMatchesMonolithicQuantized)
     DistributedLutResult result =
         runDistributedLut(upmemPlatform(), layer, idx, m, true);
     EXPECT_LT(maxAbsDiff(result.output, reference), 1e-4f);
+}
+
+TEST(LutExecutor, LaneBlocksMatchMonolithicBitExact)
+{
+    // A fault-free run reduces blocks of adjacent lanes (96 columns)
+    // per kernel call. Lane counts that are not a multiple of the
+    // block (20 lanes of 6 columns, 13 of 9, 11 of 12) leave a short
+    // last block; the output must still be bit-equal to the monolithic
+    // lookup, FP32 and INT8 alike.
+    for (auto [fs, lanes] :
+         {std::pair<std::size_t, std::size_t>{6, 20}, {9, 13}, {12, 11}}) {
+        const std::size_t f = fs * lanes;
+        const LutLayer layer = makeLayerNoBias(16, f, 2, 8, 60 + fs);
+        Rng rng(61);
+        Tensor input(24, 16);
+        input.fillGaussian(rng);
+        const IndexMatrix idx = layer.closestCentroidSearch(input);
+        const Tensor want = layer.lookup(idx);
+        const Tensor want_q = layer.lookupQuantized(idx);
+        for (std::size_t groups : {1u, 3u}) {
+            LutMapping m = mappingFor(24, f, groups, lanes);
+            m.cbm_tile = 8;
+            for (bool quantized : {false, true}) {
+                const DistributedLutResult result = runDistributedLut(
+                    upmemPlatform(), layer, idx, m, quantized);
+                const Tensor &ref = quantized ? want_q : want;
+                ASSERT_EQ(result.output.size(), ref.size());
+                EXPECT_EQ(std::memcmp(result.output.data(), ref.data(),
+                                      ref.size() * sizeof(float)),
+                          0)
+                    << "fs=" << fs << " lanes=" << lanes
+                    << " groups=" << groups << " quantized=" << quantized;
+                EXPECT_EQ(result.pes_used, groups * lanes);
+            }
+        }
+    }
 }
 
 TEST(LutExecutor, BiasAppliedOnce)
