@@ -423,39 +423,40 @@ benchLutI8(std::vector<BenchEntry> &entries, std::size_t f,
         });
 }
 
-/** GEMM inner axpy: one op = one y += a*x over f columns. */
+/**
+ * GEMM tile at an attention-head shape: one op = one m x n output
+ * block over k, the single call gemm() makes per row shard.
+ */
 void
-benchAxpy(std::vector<BenchEntry> &entries, std::size_t f)
+benchGemm(std::vector<BenchEntry> &entries, std::size_t m, std::size_t k,
+          std::size_t n)
 {
-    const std::size_t rows = 64;
-    const std::string shape = "f" + std::to_string(f);
+    const std::string shape = "m" + std::to_string(m) + ".k" +
+                              std::to_string(k) + ".n" + std::to_string(n);
     Rng rng(24);
-    const auto x = gaussianVec(rng, f);
-    const auto y0 = gaussianVec(rng, rows * f);
-    const float a = 0.25f;
+    const auto a = gaussianVec(rng, m * k);
+    const auto b = gaussianVec(rng, k * n);
 
     auto runAll = [&](const kernels::KernelTable &kt,
-                      std::vector<float> &y) {
-        for (std::size_t r = 0; r < rows; ++r)
-            kt.axpy_f32(a, x.data(), y.data() + r * f, f);
+                      std::vector<float> &c) {
+        kt.gemm_f32(a.data(), k, b.data(), n, c.data(), n, m, n, k);
     };
-    std::vector<float> want = y0;
+    std::vector<float> want(m * n);
     runAll(kernels::scalarKernels(), want);
 
-    const double bytes = 12.0 * static_cast<double>(f);
-    const double ops = 2.0 * static_cast<double>(f);
-    std::vector<float> y = y0;
+    const double bytes = 4.0 * static_cast<double>(m * k + k * n + m * n);
+    const double ops = 2.0 * static_cast<double>(m * n * k);
+    std::vector<float> c(m * n);
     appendEntries(
-        entries, "axpy_f32", &kernels::KernelTable::axpy_f32, shape, bytes,
+        entries, "gemm_f32", &kernels::KernelTable::gemm_f32, shape, bytes,
         ops,
         [&](const kernels::KernelTable &kt) {
-            return nsPerCall([&] { runAll(kt, y); }, rows);
+            return nsPerCall([&] { runAll(kt, c); }, 1);
         },
         [&](const kernels::KernelTable &kt) {
-            std::vector<float> got = y0;
-            runAll(kt, got);
-            return std::memcmp(got.data(), want.data(),
-                               got.size() * sizeof(float)) == 0;
+            runAll(kt, c);
+            return std::memcmp(c.data(), want.data(),
+                               c.size() * sizeof(float)) == 0;
         });
 }
 
@@ -469,8 +470,10 @@ runJsonHarness(const std::string &path)
     benchLutI8(entries, 768, 0);
     benchLutI8(entries, 3072, 0);
     benchLutI8(entries, 768, 6);
-    benchAxpy(entries, 768);
-    benchAxpy(entries, 3072);
+    // A 128-token head (scores, then context) and a 16-token one.
+    benchGemm(entries, 128, 64, 128);
+    benchGemm(entries, 128, 128, 64);
+    benchGemm(entries, 16, 64, 16);
 
     std::ofstream out(path);
     if (!out) {

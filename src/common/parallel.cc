@@ -49,6 +49,14 @@ struct ErrorSlot
 };
 
 /**
+ * Most shards one call is cut into, per worker thread. Shards are
+ * claimed one at a time, so a thread that finishes early (or a caller
+ * that joins late) takes over the rest instead of the call waiting on
+ * one straggling equal share.
+ */
+constexpr std::size_t kShardsPerWorker = 4;
+
+/**
  * One parallelForBlocked call: `shards` contiguous ranges of `chunk`
  * indices (the last one shorter). It lives on the caller's stack; a
  * pool worker touches it only between claiming a shard and retiring
@@ -186,8 +194,13 @@ class Pool
 std::size_t
 parallelWorkerCount()
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    // Read once: hardware_concurrency() reads sysfs on glibc, about
+    // 3-5 us a call, more than a small inline softmax or bias add.
+    static const std::size_t count = [] {
+        const unsigned hw = std::thread::hardware_concurrency();
+        return hw == 0 ? std::size_t{1} : std::size_t{hw};
+    }();
+    return count;
 }
 
 void
@@ -223,7 +236,7 @@ parallelForBlocked(std::size_t count, std::size_t grain,
     calls.add();
     items.add(count);
 
-    // A worker must own at least one full grain of contiguous work.
+    // A shard owns at least one full grain of contiguous work.
     const std::size_t grains = (count + grain - 1) / grain;
     const std::size_t workers =
         std::min<std::size_t>(parallelWorkerCount(), grains);
@@ -234,27 +247,34 @@ parallelForBlocked(std::size_t count, std::size_t grain,
         return;
     }
 
-    // Contiguous shards, each a whole number of grains.
-    const std::size_t grains_per_worker = (grains + workers - 1) / workers;
+    // Up to kShardsPerWorker contiguous shards per worker, each a whole
+    // number of grains; the threads claim them one at a time.
+    const std::size_t max_shards =
+        std::min(grains, kShardsPerWorker * parallelWorkerCount());
+    const std::size_t grains_per_shard =
+        (grains + max_shards - 1) / max_shards;
     Job job;
     job.body = &body;
     job.count = count;
-    job.chunk = grains_per_worker * grain;
+    job.chunk = grains_per_shard * grain;
     job.shards = (count + job.chunk - 1) / job.chunk;
     job.unfinished.store(job.shards, std::memory_order_relaxed);
     job.busy_s.assign(job.shards, 0.0);
     const auto wall_start = std::chrono::steady_clock::now();
     Pool::instance().run(job);
 
-    // Utilization = mean busy fraction across shards for this call;
-    // 1.0 means perfectly balanced shards, low values mean stragglers.
+    // Utilization = summed shard busy time over the wall time of the
+    // min(shards, workers) threads that can run this call at once; 1.0
+    // means every such thread was busy throughout, low values mean
+    // stragglers or threads that never joined.
     const double wall = secondsSince(wall_start);
     if (wall > 0.0) {
         double busy_total = 0.0;
         for (double b : job.busy_s)
             busy_total += b;
+        const std::size_t threads = std::min(job.shards, workers);
         utilization.record(std::min(
-            1.0, busy_total / (wall * static_cast<double>(job.shards))));
+            1.0, busy_total / (wall * static_cast<double>(threads))));
     }
 
     if (std::exception_ptr first = job.error.take())

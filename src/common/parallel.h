@@ -22,7 +22,8 @@
 
 namespace pimdl {
 
-/** Returns the worker count used by parallelFor (>= 1). */
+/** Returns the worker count used by parallelFor (>= 1): the
+ * hardware thread count, read once per process. */
 std::size_t parallelWorkerCount();
 
 /**
@@ -41,8 +42,13 @@ void parallelFor(std::size_t count,
  * SIMD micro-kernels iterating rows inside the block amortize the
  * dispatch overhead and keep their working set contiguous. A grain of
  * 0 is treated as 1. The ranges depend only on @p count, @p grain and
- * parallelWorkerCount(): min(workers, grains) shards of equal whole
- * grains. Exceptions are rethrown after every shard has finished.
+ * parallelWorkerCount(): with g = ceil(count / grain) grains and w
+ * workers, one range [0, count) on the caller when min(w, g) <= 1,
+ * else ranges of ceil(g / min(g, 4 * w)) whole grains each (the last
+ * one shorter), at most 4 * w of them. The caller and the pool's
+ * workers claim ranges one at a time, so which thread runs a range is
+ * not fixed: a body's result must not depend on it. Exceptions are
+ * rethrown after every range has finished.
  */
 void parallelForBlocked(
     std::size_t count, std::size_t grain,

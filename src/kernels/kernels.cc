@@ -90,10 +90,21 @@ scalarLutAccumI8(const std::uint16_t *idx, std::size_t idx_stride,
 }
 
 void
-scalarAxpyF32(float a, const float *x, float *y, std::size_t n)
+scalarGemmF32(const float *a, std::size_t lda, const float *b,
+              std::size_t ldb, float *c, std::size_t ldc, std::size_t m,
+              std::size_t n, std::size_t k)
 {
-    for (std::size_t j = 0; j < n; ++j)
-        y[j] += a * x[j];
+    for (std::size_t i = 0; i < m; ++i) {
+        float *crow = c + i * ldc;
+        for (std::size_t j = 0; j < n; ++j)
+            crow[j] = 0.0f;
+        for (std::size_t p = 0; p < k; ++p) {
+            const float av = a[i * lda + p];
+            const float *brow = b + p * ldb;
+            for (std::size_t j = 0; j < n; ++j)
+                crow[j] += av * brow[j];
+        }
+    }
 }
 
 } // namespace detail
@@ -107,7 +118,7 @@ scalarKernels()
         detail::scalarCcsArgmin,
         detail::scalarLutAccumF32,
         detail::scalarLutAccumI8,
-        detail::scalarAxpyF32,
+        detail::scalarGemmF32,
     };
     return table;
 }
@@ -257,13 +268,14 @@ recordLutWork(std::size_t rows, std::size_t cb_count, std::size_t f_count,
 }
 
 void
-recordAxpyWork(std::size_t elements)
+recordGemmWork(std::size_t m, std::size_t n, std::size_t k)
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-    static obs::Counter &c_elems = reg.counter("kernels.axpy.elements");
-    static obs::Counter &c_bytes = reg.counter("kernels.axpy.bytes");
-    c_elems.add(elements);
-    c_bytes.add(elements * 2 * sizeof(float));
+    static obs::Counter &c_elems = reg.counter("kernels.gemm.elements");
+    static obs::Counter &c_bytes = reg.counter("kernels.gemm.bytes");
+    // Multiply-adds, and the A, B and C bytes each touched once.
+    c_elems.add(m * n * k);
+    c_bytes.add((m * k + k * n + m * n) * sizeof(float));
 }
 
 } // namespace kernels

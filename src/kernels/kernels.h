@@ -1,18 +1,19 @@
 /**
  * @file
  * Vectorized micro-kernels behind the hot functional paths (closest-
- * centroid search, LUT gather-accumulate, GEMM inner axpy) with a
- * runtime CPU-feature dispatch table.
+ * centroid search, LUT gather-accumulate, GEMM tile) with a runtime
+ * CPU-feature dispatch table.
  *
  * Every implementation is bit-exact against the scalar reference: the
  * per-output-element floating-point accumulation order is part of the
  * kernel contract (codebook order for the LUT reduce, sub-vector
- * element order for the CCS dot product, ascending column order for
- * axpy), so SIMD variants vectorize only across independent output
- * elements — or restructure reductions so each lane reproduces the
- * scalar sequence exactly. That is what lets the degraded-mode /
- * host-fallback ladder in the LUT executor and the pinned plan goldens
- * stay bit-identical no matter which ISA executed a tile.
+ * element order for the CCS dot product, ascending inner-dimension
+ * order for the GEMM tile), so SIMD variants vectorize only across
+ * independent output elements — or restructure reductions so each
+ * lane reproduces the scalar sequence exactly. That is what lets the
+ * degraded-mode / host-fallback ladder in the LUT executor and the
+ * pinned plan goldens stay bit-identical no matter which ISA executed
+ * a tile.
  *
  * Dispatch resolution order (mirroring the PIMDL_VERIFY_PLANS
  * pattern): a process-wide runtime override (`setKernelImpl`), else
@@ -76,9 +77,18 @@ using LutAccumI8Fn = void (*)(const std::uint16_t *idx,
                               float scale, float *dst,
                               std::size_t dst_stride);
 
-/** y[j] += a * x[j] for j in [0, n): the GEMM inner kernel. */
-using AxpyF32Fn = void (*)(float a, const float *x, float *y,
-                           std::size_t n);
+/**
+ * FP32 GEMM over an m x n output block: C = A * B with A m x k (row
+ * stride @p lda), B k x n (row stride @p ldb) and C m x n (row stride
+ * @p ldc). Each c[i][j] starts at +0.0f and takes
+ * c = c + a[i][p] * b[p][j] for p = 0 .. k-1 in ascending order, the
+ * multiply and the add rounded separately (no FMA). C is only
+ * written, never read.
+ */
+using GemmF32Fn = void (*)(const float *a, std::size_t lda,
+                           const float *b, std::size_t ldb, float *c,
+                           std::size_t ldc, std::size_t m, std::size_t n,
+                           std::size_t k);
 
 /** One ISA implementation of the micro-kernel set. */
 struct KernelTable
@@ -90,7 +100,7 @@ struct KernelTable
     CcsArgminFn ccs_argmin;
     LutAccumF32Fn lut_accum_f32;
     LutAccumI8Fn lut_accum_i8;
-    AxpyF32Fn axpy_f32;
+    GemmF32Fn gemm_f32;
 };
 
 /** The bit-exactness oracle; always available. */
@@ -141,14 +151,14 @@ void setKernelImpl(const std::string &name);
 
 /**
  * Coarse-grained work accounting, called once per operator invocation
- * (never per row): kernels.ccs.* / kernels.lut.* / kernels.axpy.*
+ * (never per row): kernels.ccs.* / kernels.lut.* / kernels.gemm.*
  * bytes and element counters.
  */
 void recordCcsWork(std::size_t rows, std::size_t cb_count,
                    std::size_t ct_count, std::size_t v_len);
 void recordLutWork(std::size_t rows, std::size_t cb_count,
                    std::size_t f_count, std::size_t elem_bytes);
-void recordAxpyWork(std::size_t elements);
+void recordGemmWork(std::size_t m, std::size_t n, std::size_t k);
 
 } // namespace kernels
 } // namespace pimdl

@@ -7,8 +7,9 @@
  *
  * Bit-exactness with the scalar reference is preserved by keeping the
  * per-output floating-point operation order identical:
- *  - FP32 LUT gather-accumulate and axpy vectorize across independent
- *    output columns, so each column sees the exact scalar sequence.
+ *  - FP32 LUT gather-accumulate and the GEMM tile vectorize across
+ *    independent output columns, so each column sees the exact scalar
+ *    sequence.
  *  - INT8 LUT gather-accumulate sums integers, exact in any grouping,
  *    so it may split codebooks and rows into blocks freely; only the
  *    final float(acc) * scale is floating point.
@@ -434,19 +435,88 @@ avx2LutAccumI8(const std::uint16_t *idx, std::size_t idx_stride,
     }
 }
 
+/**
+ * One kRows x (8 * kVecs) block of C over the whole k: the block's
+ * sums stay in kRows * kVecs YMM registers, each lane one c[i][j]
+ * taking c + a[i][p] * b[p][j] in ascending p, the scalar sequence.
+ */
+template <int kRows, int kVecs>
+inline void
+gemmTile(const float *a, std::size_t lda, const float *b, std::size_t ldb,
+         float *c, std::size_t ldc, std::size_t k)
+{
+    __m256 acc[kRows][kVecs];
+#pragma GCC unroll 4
+    for (int i = 0; i < kRows; ++i) {
+#pragma GCC unroll 2
+        for (int v = 0; v < kVecs; ++v)
+            acc[i][v] = _mm256_setzero_ps();
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+        __m256 bv[kVecs];
+#pragma GCC unroll 2
+        for (int v = 0; v < kVecs; ++v)
+            bv[v] = _mm256_loadu_ps(b + p * ldb + 8 * v);
+#pragma GCC unroll 4
+        for (int i = 0; i < kRows; ++i) {
+            const __m256 av = _mm256_broadcast_ss(a + i * lda + p);
+#pragma GCC unroll 2
+            for (int v = 0; v < kVecs; ++v)
+                acc[i][v] =
+                    _mm256_add_ps(acc[i][v], _mm256_mul_ps(av, bv[v]));
+        }
+    }
+#pragma GCC unroll 4
+    for (int i = 0; i < kRows; ++i) {
+#pragma GCC unroll 2
+        for (int v = 0; v < kVecs; ++v)
+            _mm256_storeu_ps(c + i * ldc + 8 * v, acc[i][v]);
+    }
+}
+
+/** Rows [0, m) of one 8 * kVecs column strip: 4-row tiles, then
+ * single rows. */
+template <int kVecs>
+inline void
+gemmStrip(const float *a, std::size_t lda, const float *b, std::size_t ldb,
+          float *c, std::size_t ldc, std::size_t m, std::size_t k)
+{
+    std::size_t i = 0;
+    for (; i + 4 <= m; i += 4)
+        gemmTile<4, kVecs>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k);
+    for (; i < m; ++i)
+        gemmTile<1, kVecs>(a + i * lda, lda, b, ldb, c + i * ldc, ldc, k);
+}
+
+/**
+ * GEMM tile kernel. Rows go in blocks of kRowBlock so the block's A
+ * rows stay cached while every 16-column strip of B streams past
+ * them; a strip is 4 x 16 tiles (8 YMM sums) down the block. An
+ * 8-column strip takes 4 x 8 tiles, and the last n % 8 columns the
+ * scalar reference.
+ */
 void
-avx2AxpyF32(float a, const float *x, float *y, std::size_t n)
+avx2GemmF32(const float *a, std::size_t lda, const float *b,
+            std::size_t ldb, float *c, std::size_t ldc, std::size_t m,
+            std::size_t n, std::size_t k)
 {
     const CleanAvxState clean;
-    const std::size_t vec_end = n - n % 8;
-    const __m256 va = _mm256_set1_ps(a);
-    for (std::size_t j = 0; j < vec_end; j += 8) {
-        const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(x + j));
-        _mm256_storeu_ps(
-            y + j, _mm256_add_ps(_mm256_loadu_ps(y + j), prod));
+    constexpr std::size_t kRowBlock = 64;
+    const std::size_t n16 = n - n % 16;
+    const std::size_t n8 = n - n % 8;
+    for (std::size_t i0 = 0; i0 < m; i0 += kRowBlock) {
+        const std::size_t rows = std::min(kRowBlock, m - i0);
+        const float *ab = a + i0 * lda;
+        float *cb = c + i0 * ldc;
+        for (std::size_t j = 0; j < n16; j += 16)
+            gemmStrip<2>(ab, lda, b + j, ldb, cb + j, ldc, rows, k);
+        if (n8 > n16)
+            gemmStrip<1>(ab, lda, b + n16, ldb, cb + n16, ldc, rows, k);
+        if (n > n8) {
+            scalarGemmF32(ab, lda, b + n8, ldb, cb + n8, ldc, rows,
+                          n - n8, k);
+        }
     }
-    for (std::size_t j = vec_end; j < n; ++j)
-        y[j] += a * x[j];
 }
 
 } // namespace
@@ -460,7 +530,7 @@ avx2Table()
         avx2CcsArgmin,
         avx2LutAccumF32,
         avx2LutAccumI8,
-        avx2AxpyF32,
+        avx2GemmF32,
     };
     return table;
 }

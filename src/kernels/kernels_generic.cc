@@ -6,14 +6,14 @@
  * baseline provides (paired SSE on stock x86-64, NEON on AArch64).
  *
  * Only the FP32 kernels whose lanes are independent output elements
- * are vectorized here (LUT gather-accumulate and axpy, where
+ * are vectorized here (LUT gather-accumulate and the GEMM tile, where
  * per-element accumulation order is preserved by construction). The
  * CCS argmin reduction and the INT8 LUT accumulate delegate to the
  * scalar reference: vectorized through the build baseline they
  * measured no faster than scalar. This TU is built with
- * -ffp-contract=off so the a*x+y in axpy can never fuse into an FMA
- * on targets whose baseline has one — fusion would change rounding
- * and break the bit-exactness contract.
+ * -ffp-contract=off so the c + a*b in the GEMM tile can never fuse
+ * into an FMA on targets whose baseline has one — fusion would change
+ * rounding and break the bit-exactness contract.
  */
 
 #include <cstring>
@@ -66,15 +66,44 @@ genericLutAccumF32(const std::uint16_t *idx, std::size_t idx_stride,
     }
 }
 
+/**
+ * GEMM tile kernel: 4 x 8 tiles whose four 8-lane sums stay in
+ * registers over the whole k (eight XMM on a baseline x86-64), one
+ * lane per c[i][j] in the scalar order; single rows and the last
+ * n % 8 columns as in the scalar reference.
+ */
 void
-genericAxpyF32(float a, const float *x, float *y, std::size_t n)
+genericGemmF32(const float *a, std::size_t lda, const float *b,
+               std::size_t ldb, float *c, std::size_t ldc, std::size_t m,
+               std::size_t n, std::size_t k)
 {
-    const std::size_t vec_end = n - n % 8;
-    const V8f va = {a, a, a, a, a, a, a, a};
-    for (std::size_t j = 0; j < vec_end; j += 8)
-        storeF32(y + j, loadF32(y + j) + va * loadF32(x + j));
-    for (std::size_t j = vec_end; j < n; ++j)
-        y[j] += a * x[j];
+    const std::size_t n8 = n - n % 8;
+    for (std::size_t j = 0; j < n8; j += 8) {
+        std::size_t i = 0;
+        for (; i + 4 <= m; i += 4) {
+            const float *a0 = a + i * lda;
+            V8f c0 = {}, c1 = {}, c2 = {}, c3 = {};
+            for (std::size_t p = 0; p < k; ++p) {
+                const V8f bv = loadF32(b + p * ldb + j);
+                c0 = c0 + a0[p] * bv;
+                c1 = c1 + a0[lda + p] * bv;
+                c2 = c2 + a0[2 * lda + p] * bv;
+                c3 = c3 + a0[3 * lda + p] * bv;
+            }
+            storeF32(c + i * ldc + j, c0);
+            storeF32(c + (i + 1) * ldc + j, c1);
+            storeF32(c + (i + 2) * ldc + j, c2);
+            storeF32(c + (i + 3) * ldc + j, c3);
+        }
+        for (; i < m; ++i) {
+            V8f acc = {};
+            for (std::size_t p = 0; p < k; ++p)
+                acc = acc + a[i * lda + p] * loadF32(b + p * ldb + j);
+            storeF32(c + i * ldc + j, acc);
+        }
+    }
+    if (n > n8)
+        scalarGemmF32(a, lda, b + n8, ldb, c + n8, ldc, m, n - n8, k);
 }
 
 } // namespace
@@ -88,7 +117,7 @@ genericTable()
         scalarCcsArgmin,
         genericLutAccumF32,
         scalarLutAccumI8,
-        genericAxpyF32,
+        genericGemmF32,
     };
     return table;
 }

@@ -36,7 +36,9 @@ void scalarLutAccumI8(const std::uint16_t *idx, std::size_t idx_stride,
                       std::size_t f_count, float scale, float *dst,
                       std::size_t dst_stride);
 
-void scalarAxpyF32(float a, const float *x, float *y, std::size_t n);
+void scalarGemmF32(const float *a, std::size_t lda, const float *b,
+                   std::size_t ldb, float *c, std::size_t ldc,
+                   std::size_t m, std::size_t n, std::size_t k);
 
 /** Defined in kernels_generic.cc. */
 const KernelTable &genericTable();

@@ -125,6 +125,14 @@ class LutLayer
     /** Layer bias (length F, may be empty). */
     const std::vector<float> &bias() const { return bias_; }
 
+    /**
+     * Adds the bias to every row of @p out (N x F), row blocks in
+     * parallel: out[r][f] + bias[f] per element, so the result does not
+     * depend on the split. No-op without a bias. The distributed
+     * executor applies it host-side after gathering the tiles.
+     */
+    void addBiasRows(Tensor &out) const;
+
   private:
     LutShape shape_;
     CodebookSet codebooks_;
@@ -134,8 +142,6 @@ class LutLayer
     std::vector<float> lut_;
     /** Optional INT8 LUT with a single symmetric scale. */
     std::optional<QuantizedTensor> quant_lut_;
-
-    void addBiasRows(Tensor &out) const;
 };
 
 } // namespace pimdl

@@ -124,11 +124,19 @@ FunctionalTransformer::denseLinear(std::size_t layer, LinearRole role,
     return gemmBias(x, w.wqkv, w.bqkv);
 }
 
+const FunctionalBlockWeights &
+FunctionalTransformer::blockWeights(std::size_t layer) const
+{
+    PIMDL_REQUIRE(layer < blocks_.size(), "layer out of range");
+    return blocks_[layer];
+}
+
 const LutLayer &
 FunctionalTransformer::lutFor(std::size_t layer, LinearRole role) const
 {
     PIMDL_REQUIRE(converted(),
                   "convertToLut must run before LUT backends");
+    PIMDL_REQUIRE(layer < luts_.size(), "layer out of range");
     const FunctionalBlockLuts &luts = luts_[layer];
     switch (role) {
       case LinearRole::QkvProjection:

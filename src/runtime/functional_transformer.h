@@ -123,6 +123,12 @@ class FunctionalTransformer
     /** True once convertToLut has run. */
     bool converted() const { return !luts_.empty(); }
 
+    /** Dense weights of block @p layer. */
+    const FunctionalBlockWeights &blockWeights(std::size_t layer) const;
+
+    /** Converted LUT layer of one linear role; requires convertToLut. */
+    const LutLayer &lutFor(std::size_t layer, LinearRole role) const;
+
   private:
     FunctionalTransformerConfig config_;
     std::vector<FunctionalBlockWeights> blocks_;
@@ -147,9 +153,6 @@ class FunctionalTransformer
     /** Exact dense GEMM of one linear role. */
     Tensor denseLinear(std::size_t layer, LinearRole role,
                        const Tensor &x) const;
-
-    /** Converted LUT layer of one linear role. */
-    const LutLayer &lutFor(std::size_t layer, LinearRole role) const;
 
     Tensor attention(const Tensor &q, const Tensor &k, const Tensor &v,
                      std::size_t seq_len) const;

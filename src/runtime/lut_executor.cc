@@ -508,13 +508,7 @@ runDistributedLut(const PimPlatformConfig &platform, const LutLayer &layer,
     }
 
     // Bias is applied host-side after gathering (element-wise op).
-    if (!layer.bias().empty()) {
-        for (std::size_t r = 0; r < out.rows(); ++r) {
-            float *dst = out.rowPtr(r);
-            for (std::size_t fcol = 0; fcol < out.cols(); ++fcol)
-                dst[fcol] += layer.bias()[fcol];
-        }
-    }
+    layer.addBiasRows(out);
     return result;
 }
 

@@ -26,32 +26,17 @@ gemmNaive(const Tensor &a, const Tensor &b)
 
 namespace {
 
-/// Cache-block edge in each dimension; sized so three blocks fit in L2.
-constexpr std::size_t kBlock = 64;
+/// Fewest rows gemm() spreads over the pool; smaller ones stay inline.
+constexpr std::size_t kMinParallelRows = 128;
 
+/** Rows [row_begin, row_end) of C = A * B in one GEMM tile call. */
 void
-gemmBlockRange(const Tensor &a, const Tensor &b, Tensor &c,
-               std::size_t row_begin, std::size_t row_end)
+gemmRows(const Tensor &a, const Tensor &b, Tensor &c, std::size_t row_begin,
+         std::size_t row_end)
 {
-    const std::size_t h = a.cols();
-    const std::size_t f = b.cols();
-    const kernels::KernelTable &kt = kernels::best();
-    for (std::size_t i0 = row_begin; i0 < row_end; i0 += kBlock) {
-        const std::size_t i1 = std::min(row_end, i0 + kBlock);
-        for (std::size_t k0 = 0; k0 < h; k0 += kBlock) {
-            const std::size_t k1 = std::min(h, k0 + kBlock);
-            for (std::size_t j0 = 0; j0 < f; j0 += kBlock) {
-                const std::size_t j1 = std::min(f, j0 + kBlock);
-                for (std::size_t i = i0; i < i1; ++i) {
-                    float *crow = c.rowPtr(i);
-                    for (std::size_t k = k0; k < k1; ++k) {
-                        kt.axpy_f32(a(i, k), b.rowPtr(k) + j0,
-                                    crow + j0, j1 - j0);
-                    }
-                }
-            }
-        }
-    }
+    kernels::best().gemm_f32(a.rowPtr(row_begin), a.cols(), b.data(),
+                             b.cols(), c.rowPtr(row_begin), c.cols(),
+                             row_end - row_begin, b.cols(), a.cols());
 }
 
 } // namespace
@@ -61,11 +46,11 @@ gemm(const Tensor &a, const Tensor &b)
 {
     PIMDL_REQUIRE(a.cols() == b.rows(), "gemm inner dim mismatch");
     Tensor c(a.rows(), b.cols());
-    kernels::recordAxpyWork(a.rows() * a.cols() * b.cols());
+    kernels::recordGemmWork(a.rows(), b.cols(), a.cols());
 
     const std::size_t shards = parallelWorkerCount();
-    if (shards <= 1 || a.rows() < 2 * kBlock) {
-        gemmBlockRange(a, b, c, 0, a.rows());
+    if (shards <= 1 || a.rows() < kMinParallelRows) {
+        gemmRows(a, b, c, 0, a.rows());
         return c;
     }
 
@@ -74,7 +59,7 @@ gemm(const Tensor &a, const Tensor &b)
         const std::size_t begin = s * rows_per_shard;
         const std::size_t end = std::min(a.rows(), begin + rows_per_shard);
         if (begin < end)
-            gemmBlockRange(a, b, c, begin, end);
+            gemmRows(a, b, c, begin, end);
     });
     return c;
 }

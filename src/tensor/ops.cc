@@ -1,5 +1,6 @@
 #include "ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -17,6 +18,13 @@ constexpr float kGeluC = 0.7978845608028654f; // sqrt(2/pi)
  * Every row is computed by the same per-row code either way.
  */
 constexpr std::size_t kRowGrain = 64;
+
+/**
+ * Elements per parallel block of softmaxRows, so its row grain follows
+ * the row width: a 128 x 128 attention head splits into four 32-row
+ * blocks, while a 16 x 16 serving head (256-row grain) stays inline.
+ */
+constexpr std::size_t kSoftmaxBlockElems = 4096;
 
 /** out = gelu(x) elementwise, row-parallel; out may be x itself. */
 void
@@ -97,21 +105,26 @@ Tensor
 softmaxRows(const Tensor &x)
 {
     Tensor out(x.rows(), x.cols());
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        const float *src = x.rowPtr(r);
-        float *dst = out.rowPtr(r);
-        float max_v = src[0];
-        for (std::size_t c = 1; c < x.cols(); ++c)
-            max_v = std::max(max_v, src[c]);
-        float sum = 0.0f;
-        for (std::size_t c = 0; c < x.cols(); ++c) {
-            dst[c] = std::exp(src[c] - max_v);
-            sum += dst[c];
-        }
-        const float inv = 1.0f / sum;
-        for (std::size_t c = 0; c < x.cols(); ++c)
-            dst[c] *= inv;
-    }
+    const std::size_t grain =
+        kSoftmaxBlockElems / std::max<std::size_t>(1, x.cols());
+    parallelForBlocked(
+        x.rows(), grain, [&](std::size_t begin, std::size_t end) {
+            for (std::size_t r = begin; r < end; ++r) {
+                const float *src = x.rowPtr(r);
+                float *dst = out.rowPtr(r);
+                float max_v = src[0];
+                for (std::size_t c = 1; c < x.cols(); ++c)
+                    max_v = std::max(max_v, src[c]);
+                float sum = 0.0f;
+                for (std::size_t c = 0; c < x.cols(); ++c) {
+                    dst[c] = std::exp(src[c] - max_v);
+                    sum += dst[c];
+                }
+                const float inv = 1.0f / sum;
+                for (std::size_t c = 0; c < x.cols(); ++c)
+                    dst[c] *= inv;
+            }
+        });
     return out;
 }
 

@@ -147,6 +147,58 @@ TEST(ParallelBlocked, PropagatesExceptions)
         std::runtime_error);
 }
 
+TEST(ParallelBlocked, ShardsDependOnlyOnCountGrainWorkers)
+{
+    // Two calls with the same (count, grain) on the same pool cut the
+    // same ranges, however the threads claim them: at most 4 * workers
+    // ranges, each whole grains starting on a grain boundary, all but
+    // the last of one length, together covering [0, count).
+    const std::size_t workers = parallelWorkerCount();
+    const auto ranges = [](std::size_t count, std::size_t grain) {
+        Mutex mu{"test.parallel.ranges"};
+        std::vector<std::pair<std::size_t, std::size_t>> seen;
+        parallelForBlocked(count, grain,
+                           [&](std::size_t begin, std::size_t end) {
+                               MutexLock lock(mu);
+                               seen.emplace_back(begin, end);
+                           });
+        std::sort(seen.begin(), seen.end());
+        return seen;
+    };
+    for (const auto &[count, grain] :
+         std::vector<std::pair<std::size_t, std::size_t>>{
+             {1, 1}, {7, 3}, {64, 1}, {100, 4}, {1000, 7}, {1024, 64},
+             {4096, 1}, {5, 100}}) {
+        const auto first = ranges(count, grain);
+        EXPECT_EQ(ranges(count, grain), first)
+            << "count=" << count << " grain=" << grain;
+        ASSERT_FALSE(first.empty());
+        EXPECT_LE(first.size(), std::max<std::size_t>(1, 4 * workers));
+        const std::size_t len = first.front().second;
+        std::size_t next = 0;
+        for (std::size_t i = 0; i < first.size(); ++i) {
+            const auto [begin, end] = first[i];
+            EXPECT_EQ(begin, next) << "count=" << count;
+            EXPECT_EQ(begin % grain, 0u) << "count=" << count;
+            if (i + 1 < first.size()) {
+                EXPECT_EQ(end - begin, len) << "count=" << count;
+                EXPECT_EQ(len % grain, 0u) << "count=" << count;
+            }
+            next = end;
+        }
+        EXPECT_EQ(next, count);
+        // The length follows from (count, grain, workers) alone:
+        // ceil(g / min(g, 4w)) grains, or all of [0, count) inline.
+        const std::size_t grains = (count + grain - 1) / grain;
+        const std::size_t cap = std::min(grains, 4 * workers);
+        const std::size_t want = std::min(workers, grains) <= 1
+                                     ? count
+                                     : (grains + cap - 1) / cap * grain;
+        EXPECT_EQ(len, std::min(want, count))
+            << "count=" << count << " grain=" << grain;
+    }
+}
+
 TEST(ParallelPool, ConcurrentCallersEachCoverEveryIndexOnce)
 {
     // Eight threads share the pool at once, each with its own calls;
@@ -197,8 +249,9 @@ TEST(ParallelPool, ThrowIsRethrownAfterEveryShardFinishes)
 {
     // The shard holding index 0 throws; the call rethrows only once
     // every other shard has run to its end, and the pool serves the
-    // next call as usual.
-    const std::size_t count = 4 * parallelWorkerCount();
+    // next call as usual. 8 * w one-index grains make 4 * w shards of
+    // two indices each (one inline range on a single worker).
+    const std::size_t count = 8 * parallelWorkerCount();
     std::atomic<std::size_t> finished{0};
     EXPECT_THROW(parallelForBlocked(
                      count, 1,
@@ -208,7 +261,7 @@ TEST(ParallelPool, ThrowIsRethrownAfterEveryShardFinishes)
                          finished += end - begin;
                      }),
                  std::runtime_error);
-    const std::size_t shard = count / std::min(parallelWorkerCount(), count);
+    const std::size_t shard = parallelWorkerCount() == 1 ? count : 2;
     EXPECT_EQ(finished.load(), count - shard);
 
     std::vector<std::atomic<int>> hits(1000);

@@ -1,9 +1,14 @@
 /** @file End-to-end functional transformer integration tests. */
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "runtime/functional_transformer.h"
+#include "tensor/gemm.h"
 
 namespace pimdl {
 namespace {
@@ -122,6 +127,201 @@ TEST_F(FunctionalTransformerTest, RejectsNonDividingSeqLen)
 {
     EXPECT_THROW(model_.forward(input_, 7, LinearBackendKind::Dense),
                  std::runtime_error);
+}
+
+/**
+ * Serial reference of the encoder forward, written out apart from the
+ * library's parallel ops: gemmNaive, one loop per row, and the same
+ * libm calls in the same expressions. The library's forward must match
+ * it bit for bit whatever the thread count or kernel impl.
+ */
+namespace ref {
+
+Tensor
+denseLinear(const Tensor &x, const Tensor &w, const std::vector<float> &b)
+{
+    Tensor y = gemmNaive(x, w);
+    for (std::size_t r = 0; r < y.rows(); ++r) {
+        for (std::size_t c = 0; c < y.cols(); ++c)
+            y(r, c) += b[c];
+    }
+    return y;
+}
+
+/** CCS, INT8 LUT sums, dequantization, then bias: forwardQuantized. */
+Tensor
+lutLinear(const LutLayer &lut, const Tensor &x)
+{
+    const std::size_t cb_count = lut.shape().codebooks();
+    const std::size_t v_len = lut.shape().subvec_len;
+    const std::size_t f_count = lut.shape().output_dim;
+    Tensor y(x.rows(), f_count);
+    std::vector<std::int32_t> acc(f_count);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        std::fill(acc.begin(), acc.end(), 0);
+        for (std::size_t cb = 0; cb < cb_count; ++cb) {
+            const std::size_t ct =
+                lut.codebooks().nearest(cb, x.rowPtr(r) + cb * v_len);
+            for (std::size_t f = 0; f < f_count; ++f)
+                acc[f] += lut.quantLutValue(cb, ct, f);
+        }
+        for (std::size_t f = 0; f < f_count; ++f)
+            y(r, f) = static_cast<float>(acc[f]) * lut.quantScale();
+        for (std::size_t f = 0; f < lut.bias().size(); ++f)
+            y(r, f) += lut.bias()[f];
+    }
+    return y;
+}
+
+Tensor
+softmax(const Tensor &x)
+{
+    Tensor out(x.rows(), x.cols());
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        float max_v = x(r, 0);
+        for (std::size_t c = 1; c < x.cols(); ++c)
+            max_v = std::max(max_v, x(r, c));
+        float sum = 0.0f;
+        for (std::size_t c = 0; c < x.cols(); ++c) {
+            out(r, c) = std::exp(x(r, c) - max_v);
+            sum += out(r, c);
+        }
+        const float inv = 1.0f / sum;
+        for (std::size_t c = 0; c < x.cols(); ++c)
+            out(r, c) *= inv;
+    }
+    return out;
+}
+
+Tensor
+attention(const Tensor &qkv, std::size_t hidden, std::size_t heads,
+          std::size_t seq)
+{
+    const std::size_t head_dim = hidden / heads;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    Tensor out(qkv.rows(), hidden);
+    for (std::size_t r0 = 0; r0 < qkv.rows(); r0 += seq) {
+        for (std::size_t h = 0; h < heads; ++h) {
+            Tensor q(seq, head_dim), kt(head_dim, seq), v(seq, head_dim);
+            for (std::size_t r = 0; r < seq; ++r) {
+                for (std::size_t c = 0; c < head_dim; ++c) {
+                    const std::size_t col = h * head_dim + c;
+                    q(r, c) = qkv(r0 + r, col);
+                    kt(c, r) = qkv(r0 + r, hidden + col);
+                    v(r, c) = qkv(r0 + r, 2 * hidden + col);
+                }
+            }
+            Tensor scores = gemmNaive(q, kt);
+            for (std::size_t i = 0; i < scores.size(); ++i)
+                scores.data()[i] *= scale;
+            const Tensor ctx = gemmNaive(softmax(scores), v);
+            for (std::size_t r = 0; r < seq; ++r) {
+                for (std::size_t c = 0; c < head_dim; ++c)
+                    out(r0 + r, h * head_dim + c) = ctx(r, c);
+            }
+        }
+    }
+    return out;
+}
+
+Tensor
+residualLayerNorm(const Tensor &x, const Tensor &y,
+                  const std::vector<float> &gamma,
+                  const std::vector<float> &beta)
+{
+    const float epsilon = 1e-5f;
+    Tensor out(x.rows(), x.cols());
+    std::vector<float> sum_row(x.cols());
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        for (std::size_t c = 0; c < x.cols(); ++c)
+            sum_row[c] = x(r, c) + y(r, c);
+        double sum = 0.0;
+        for (std::size_t c = 0; c < x.cols(); ++c)
+            sum += sum_row[c];
+        const float mu = static_cast<float>(sum / x.cols());
+        double var = 0.0;
+        for (std::size_t c = 0; c < x.cols(); ++c) {
+            const double d = sum_row[c] - mu;
+            var += d * d;
+        }
+        const float inv_sigma =
+            1.0f / std::sqrt(static_cast<float>(var / x.cols()) + epsilon);
+        for (std::size_t c = 0; c < x.cols(); ++c)
+            out(r, c) = (sum_row[c] - mu) * inv_sigma * gamma[c] + beta[c];
+    }
+    return out;
+}
+
+Tensor
+gelu(Tensor x)
+{
+    const float k_c = 0.7978845608028654f;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        const float v = x.data()[i];
+        const float inner = k_c * (v + 0.044715f * v * v * v);
+        x.data()[i] = 0.5f * v * (1.0f + std::tanh(inner));
+    }
+    return x;
+}
+
+Tensor
+forward(const FunctionalTransformer &model, const Tensor &tokens,
+        std::size_t seq, bool lut)
+{
+    const FunctionalTransformerConfig &cfg = model.config();
+    Tensor x = tokens;
+    for (std::size_t l = 0; l < cfg.layers; ++l) {
+        const FunctionalBlockWeights &w = model.blockWeights(l);
+        const auto linear = [&](const Tensor &in, const Tensor &weight,
+                                const std::vector<float> &bias,
+                                LinearRole role) {
+            return lut ? lutLinear(model.lutFor(l, role), in)
+                       : denseLinear(in, weight, bias);
+        };
+        const Tensor qkv =
+            linear(x, w.wqkv, w.bqkv, LinearRole::QkvProjection);
+        const Tensor ctx = attention(qkv, cfg.hidden, cfg.heads, seq);
+        const Tensor o = linear(ctx, w.wo, w.bo, LinearRole::OutProjection);
+        x = residualLayerNorm(x, o, w.ln1_gamma, w.ln1_beta);
+        const Tensor h = gelu(linear(x, w.w1, w.b1, LinearRole::Ffn1));
+        const Tensor f = linear(h, w.w2, w.b2, LinearRole::Ffn2);
+        x = residualLayerNorm(x, f, w.ln2_gamma, w.ln2_beta);
+    }
+    return x;
+}
+
+} // namespace ref
+
+TEST(FunctionalTransformer, ForwardMatchesSerialReferenceBitExact)
+{
+    // Head width 18 = a 16-column tile plus a 2-column tail; at seq 128
+    // the head GEMMs run row-sharded on the pool and every head's
+    // softmax runs row-parallel, at seq 16 both stay on the caller.
+    FunctionalTransformerConfig cfg;
+    cfg.hidden = 36;
+    cfg.ffn = 72;
+    cfg.layers = 2;
+    cfg.heads = 2;
+    cfg.subvec_len = 4;
+    cfg.centroids = 16;
+    FunctionalTransformer model(cfg);
+    model.convertToLut(makeTokens(2 * 128, cfg.hidden, 3), 16);
+    for (std::size_t seq : {16u, 128u}) {
+        const Tensor tokens = makeTokens(2 * seq, cfg.hidden, 4 + seq);
+        for (const bool lut : {false, true}) {
+            const Tensor got = model.forward(
+                tokens, seq,
+                lut ? LinearBackendKind::HostLut : LinearBackendKind::Dense);
+            const Tensor want = ref::forward(model, tokens, seq, lut);
+            ASSERT_EQ(got.rows(), want.rows());
+            ASSERT_EQ(got.cols(), want.cols());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(float)),
+                      0)
+                << (lut ? "HostLut" : "Dense") << " seq=" << seq
+                << " max diff " << maxAbsDiff(got, want);
+        }
+    }
 }
 
 TEST(FunctionalTransformer, MoreCentroidsTightenEndToEndError)

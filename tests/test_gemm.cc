@@ -1,4 +1,6 @@
-/** @file GEMM kernel tests: blocked kernel vs naive oracle. */
+/** @file GEMM tests: the row-sharded tile GEMM vs the naive oracle. */
+
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -58,7 +60,10 @@ TEST(Gemm, FlopCount)
     EXPECT_DOUBLE_EQ(gemmFlops(2, 3, 4), 48.0);
 }
 
-/** Property sweep: blocked/parallel GEMM matches the naive oracle. */
+/**
+ * Property sweep: the row-sharded tile GEMM is bit-identical to the
+ * naive oracle (same per-element order, no FMA), inline and sharded.
+ */
 class GemmShapeTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>>
 {};
@@ -72,8 +77,12 @@ TEST_P(GemmShapeTest, BlockedMatchesNaive)
     b.fillGaussian(rng);
     const Tensor ref = gemmNaive(a, b);
     const Tensor got = gemm(a, b);
-    EXPECT_LT(maxAbsDiff(got, ref), 1e-3f)
-        << "shape (" << n << "," << h << "," << f << ")";
+    ASSERT_EQ(got.size(), ref.size());
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                          got.size() * sizeof(float)),
+              0)
+        << "shape (" << n << "," << h << "," << f << ") max diff "
+        << maxAbsDiff(got, ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -82,7 +91,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(17, 33, 9), std::make_tuple(64, 64, 64),
                       std::make_tuple(65, 63, 130),
                       std::make_tuple(128, 96, 72),
-                      std::make_tuple(200, 64, 1)));
+                      std::make_tuple(200, 64, 1),
+                      std::make_tuple(128, 64, 128),
+                      std::make_tuple(128, 128, 64),
+                      std::make_tuple(16, 64, 16),
+                      std::make_tuple(130, 3072, 20)));
 
 } // namespace
 } // namespace pimdl

@@ -440,23 +440,38 @@ TEST_F(KernelParity, LutAccumRandomRowBlocks)
     }
 }
 
-TEST_F(KernelParity, AxpyOddLengths)
+TEST_F(KernelParity, GemmTileRandomShapes)
 {
-    Rng rng(45);
-    for (std::size_t n : {1u, 7u, 8u, 9u, 63u, 255u, 1024u}) {
-        const auto x = randomFloats(rng, n);
-        const auto y0 = randomFloats(rng, n);
-        const float a = rng.gaussian();
-        std::vector<float> want = y0;
-        kernels::scalarKernels().axpy_f32(a, x.data(), want.data(), n);
+    // Seeded m, n, k in 0..70 (4 x 16 and 4 x 8 tiles, single rows,
+    // n % 8 tails, k = 0) with row strides wider than the operands:
+    // every impl matches the scalar oracle bit for bit, writes every
+    // c[i][j] (C starts as garbage) and leaves the stride padding alone.
+    Rng rng(48);
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::size_t m = rng.index(71);
+        const std::size_t n = rng.index(71);
+        const std::size_t k = rng.index(71);
+        const std::size_t lda = k + rng.index(5);
+        const std::size_t ldb = n + 1 + rng.index(5);
+        const std::size_t ldc = n + 1 + rng.index(5);
+        const auto a = randomFloats(rng, m * lda);
+        const auto b = randomFloats(rng, k * ldb);
+        auto run = [&](const kernels::KernelTable &kt) {
+            std::vector<float> c(m * ldc, 7.0f);
+            kt.gemm_f32(a.data(), lda, b.data(), ldb, c.data(), ldc, m, n,
+                        k);
+            return c;
+        };
+        const auto want = run(kernels::scalarKernels());
+        for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = n; j < ldc; ++j)
+                ASSERT_EQ(want[i * ldc + j], 7.0f) << "trial " << trial;
+        }
         for (const kernels::KernelTable *impl :
              kernels::availableKernels()) {
-            std::vector<float> got = y0;
-            impl->axpy_f32(a, x.data(), got.data(), n);
-            EXPECT_EQ(
-                std::memcmp(got.data(), want.data(), n * sizeof(float)),
-                0)
-                << impl->name << " n=" << n;
+            EXPECT_TRUE(sameBits(run(*impl), want))
+                << impl->name << " trial " << trial << " m=" << m
+                << " n=" << n << " k=" << k;
         }
     }
 }
@@ -618,15 +633,18 @@ TEST_F(KernelState, EveryEntryReturnsWithCleanUpperYmm)
         }
     }
 
-    // axpy: vector body plus tail, and tail only.
-    for (std::size_t n : {7u, 1027u}) {
-        const auto x = randomFloats(rng, n);
-        std::vector<float> y = randomFloats(rng, n);
+    // GEMM tile: 16- and 8-column strips with single rows and a
+    // scalar column tail, a tail-only block, and an empty one.
+    for (const std::size_t n : {0u, 5u, 29u, 128u}) {
+        const std::size_t m = 7, k = 19;
+        const auto a = randomFloats(rng, m * k);
+        const auto b = randomFloats(rng, k * n);
+        std::vector<float> c(m * n);
         for (const kernels::KernelTable *impl :
              kernels::availableKernels()) {
-            impl->axpy_f32(0.25f, x.data(), y.data(), n);
+            impl->gemm_f32(a.data(), k, b.data(), n, c.data(), n, m, n, k);
             xinuse = readXinuse();
-            check(xinuse, *impl, "axpy n=" + std::to_string(n));
+            check(xinuse, *impl, "gemm n=" + std::to_string(n));
         }
     }
 

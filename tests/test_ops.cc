@@ -124,9 +124,10 @@ TEST(Ops, LayerNormAffine)
 
 TEST(Ops, RowParallelOpsMatchRowByRow)
 {
-    // gelu (both overloads) and layerNormRows split rows across workers
-    // in blocks; every row must come out bit-identical to the same row
-    // computed alone, below, at and above the block grain.
+    // gelu (both overloads), layerNormRows and softmaxRows split rows
+    // across workers in blocks; every row must come out bit-identical
+    // to the same row computed alone, below, at and above the block
+    // grain (softmax's 37-column grain is 110 rows).
     const std::size_t cols = 37;
     Rng rng(17);
     std::vector<float> gamma(cols), beta(cols);
@@ -134,11 +135,12 @@ TEST(Ops, RowParallelOpsMatchRowByRow)
         gamma[c] = rng.gaussian();
         beta[c] = rng.gaussian();
     }
-    for (std::size_t rows : {1u, 63u, 64u, 65u, 1024u}) {
+    for (std::size_t rows : {1u, 63u, 64u, 65u, 110u, 111u, 1024u}) {
         Tensor x(rows, cols);
         x.fillGaussian(rng, 0.0f, 3.0f);
         const Tensor g = gelu(x);
         const Tensor ln = layerNormRows(x, gamma, beta);
+        const Tensor sm = softmaxRows(x);
         // The in-place overload computes the same bits.
         const Tensor g_in_place = gelu(Tensor(x));
         ASSERT_EQ(std::memcmp(g.data(), g_in_place.data(),
@@ -150,6 +152,7 @@ TEST(Ops, RowParallelOpsMatchRowByRow)
             std::memcpy(row.rowPtr(0), x.rowPtr(r), cols * sizeof(float));
             const Tensor g1 = gelu(row);
             const Tensor ln1 = layerNormRows(row, gamma, beta);
+            const Tensor sm1 = softmaxRows(row);
             ASSERT_EQ(std::memcmp(g.rowPtr(r), g1.rowPtr(0),
                                   cols * sizeof(float)),
                       0)
@@ -158,6 +161,10 @@ TEST(Ops, RowParallelOpsMatchRowByRow)
                                   cols * sizeof(float)),
                       0)
                 << "layernorm rows=" << rows << " r=" << r;
+            ASSERT_EQ(std::memcmp(sm.rowPtr(r), sm1.rowPtr(0),
+                                  cols * sizeof(float)),
+                      0)
+                << "softmax rows=" << rows << " r=" << r;
         }
     }
 }
