@@ -73,10 +73,10 @@ main(int argc, char **argv)
     table.print(std::cout);
 
     std::cout << "\nBatching amortizes PIM-DL's fixed costs only when "
-                 "requests share a batch. This runtime closes a batch once "
-                 "its oldest request has waited 250 ms, so past the load "
-                 "one-request batches sustain, batches stay near one "
-                 "request while the queue fills and rejects.\n";
+                 "requests share a batch. A free worker takes every "
+                 "queued request, up to 64, so batches grow with the "
+                 "load until full batches saturate the PIM-DIMMs; past "
+                 "that the queue fills and admission rejects.\n";
 
     if (argc > 4) {
         obs::writeSnapshotJson(argv[4]);

@@ -4,8 +4,8 @@
  *
  * The live serving runtime's admission boundary: producers are request
  * submitters (tryPush is the admission-control edge — a full queue
- * rejects instead of buffering unboundedly), consumers are the batcher
- * and worker threads. Mutex+condvar rather than lock-free: payloads
+ * rejects instead of buffering unboundedly), consumers are the worker
+ * threads forming batches. Mutex+condvar rather than lock-free: payloads
  * are whole requests, so the critical sections are tiny relative to
  * the work each item represents, and the annotated Mutex keeps the
  * state visible to the clang thread-safety analysis and TSan.
@@ -60,25 +60,6 @@ class BoundedMpmcQueue
         return true;
     }
 
-    /**
-     * Non-blocking push that keeps @p value intact on failure (the
-     * by-value tryPush destroys it), so a rejected item can be routed
-     * down a different path — the watchdog re-dispatch needs this to
-     * fail a seized batch properly when the work queue is closed.
-     */
-    bool
-    tryPushOrKeep(T &value) PIMDL_EXCLUDES(mu_)
-    {
-        {
-            MutexLock lock(mu_);
-            if (closed_ || items_.size() >= capacity_)
-                return false;
-            items_.push_back(std::move(value));
-        }
-        not_empty_.notifyOne();
-        return true;
-    }
-
     /** Blocking push; waits for space, false once the queue closes. */
     bool
     push(T value) PIMDL_EXCLUDES(mu_)
@@ -116,7 +97,7 @@ class BoundedMpmcQueue
      * Pop waiting at most @p timeout_s (real time) for an item. May
      * return false before the full timeout on a spurious wakeup;
      * callers poll in a loop and re-derive their own deadline, which
-     * is exactly what the batcher's max-wait loop does.
+     * is exactly what a forming batch's max-wait loop does.
      */
     bool
     popFor(T &out, double timeout_s) PIMDL_EXCLUDES(mu_)

@@ -38,7 +38,7 @@ inline constexpr double kHangTimeoutFactor = 8.0;
 inline constexpr double kMinHangTimeoutS = 0.05;
 /** Real-time poll cadence of the watchdog thread, seconds. The watchdog
  * always sleeps real time and re-reads the (possibly virtual) clock,
- * mirroring the batcher's poll-slice pattern. */
+ * mirroring the forming worker's poll-slice pattern. */
 inline constexpr double kWatchdogPollS = 2e-3;
 
 /** Lower bound of the AIMD in-flight limit (never starve fully); the

@@ -16,12 +16,16 @@ namespace pimdl {
 namespace {
 
 /**
- * Real-time wait slice the batcher polls with when time is virtual: a
- * ManualClock deadline never expires on its own, so the batcher must
- * wake periodically and re-read the clock instead of sleeping toward
- * the deadline.
+ * Real-time wait slice a forming worker polls with when time is
+ * virtual: a ManualClock deadline never expires on its own, so the
+ * worker must wake periodically and re-read the clock instead of
+ * sleeping toward the deadline.
  */
 constexpr double kVirtualPollSliceS = 200e-6;
+
+/** popRequest timeout that waits until a request queues or the queue
+ * is closed and drained. */
+constexpr double kForever = std::numeric_limits<double>::infinity();
 
 /**
  * Remaining max-wait at or below which a forming batch flushes. The
@@ -188,9 +192,7 @@ LiveServingRuntime::LiveServingRuntime(Unstarted,
       clock_(clock != nullptr ? clock : &SteadyClock::instance()),
       chaos_(chaos),
       request_queue_(config_.queue_capacity,
-                     "serving.live.request_queue"),
-      work_queue_(std::max<std::size_t>(2 * config_.workers, 2),
-                  "serving.live.work_queue")
+                     "serving.live.request_queue")
 {
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     m_.requests = &reg.counter("serving.live.requests");
@@ -224,18 +226,15 @@ LiveServingRuntime::LiveServingRuntime(Unstarted,
     m_.batch_size = &reg.histogram("serving.live.batch_size");
     m_.batch_service_s =
         &reg.histogram("serving.live.batch_service_s");
-    m_.batch_queue_depth =
-        &reg.histogram("serving.live.batch_queue_depth");
 
     breaker_ = std::make_unique<CircuitBreaker>(
         config_.resilience.breaker, clock_, "serving.live.breaker");
 
     // Pipeline capacity: everything that can be admitted-but-
-    // unresolved at once (request queue + buffered batches + batches
-    // executing in workers).
+    // unresolved at once (request queue + one batch per worker, forming
+    // or executing).
     inflight_cap_ = static_cast<double>(
-        config_.queue_capacity +
-        (work_queue_.capacity() + config_.workers) * config_.max_batch);
+        config_.queue_capacity + config_.workers * config_.max_batch);
     inflight_limit_.store(inflight_cap_, std::memory_order_relaxed);
     m_.inflight_limit->set(inflight_cap_);
 }
@@ -246,7 +245,6 @@ LiveServingRuntime::LiveServingRuntime(const LiveServingConfig &config,
                                        const ChaosInjector *chaos)
     : LiveServingRuntime(Unstarted{}, config, executor, clock, chaos)
 {
-    batcher_ = std::thread(&LiveServingRuntime::batcherLoop, this);
     {
         MutexLock lock(workers_mu_);
         slots_.reserve(config_.workers);
@@ -256,7 +254,7 @@ LiveServingRuntime::LiveServingRuntime(const LiveServingConfig &config,
             slot.state->worker_id = next_worker_id_.fetch_add(
                 1, std::memory_order_relaxed);
             slot.thread = std::thread(&LiveServingRuntime::workerLoop,
-                                      this, slot.state);
+                                      this, slot.state, BatchTask{});
             slots_.push_back(std::move(slot));
         }
     }
@@ -338,11 +336,10 @@ LiveServingRuntime::submit(Tensor input, std::uint64_t tenant,
 
     inflight_.fetch_add(1, std::memory_order_relaxed);
     req->inflight = &inflight_;
-    if (!request_queue_.tryPushOrKeep(req)) {
-        // Queue full (or closed by a drain race): count the rejection
-        // and drop the request here — its destructor net resolves the
-        // (discarded) future and releases the in-flight slot.
-        req.reset();
+    if (!request_queue_.tryPush(std::move(req))) {
+        // Queue full (or closed by a drain race): count the rejection.
+        // The refused request was dropped; its destructor net resolved
+        // the (discarded) future and released the in-flight slot.
         MutexLock lock(stats_mu_);
         ++acc_.rejected;
         m_.rejected->add(1);
@@ -352,33 +349,66 @@ LiveServingRuntime::submit(Tensor input, std::uint64_t tenant,
     return future;
 }
 
-void
-LiveServingRuntime::batcherLoop()
+bool
+LiveServingRuntime::formBatch(BatchTask &task)
 {
-    std::unique_ptr<PendingRequest> front;
-    while (request_queue_.pop(front)) {
-        BatchTask task;
-        task.requests.push_back(std::move(front));
-
-        for (double open = batchOpenForS(task, clock_->now()); open > 0.0;
-             open = batchOpenForS(task, clock_->now())) {
-            std::unique_ptr<PendingRequest> next;
-            const double slice =
-                clock_->isVirtual() ? kVirtualPollSliceS : open;
-            if (request_queue_.popFor(next, slice))
-                task.requests.push_back(std::move(next));
-            else if (requestQueueDrained())
-                break; // draining: flush the partial batch now
-            // Otherwise (timeout or spurious wake) the loop re-reads
-            // the clock and re-derives the remaining wait.
-        }
-        m_.queue_depth->set(
-            static_cast<double>(request_queue_.size()));
-        dispatch(std::move(task));
+    {
+        MutexLock lock(forming_mu_);
+        while (forming_)
+            turn_free_.wait(forming_mu_);
+        forming_ = true;
     }
-    // pop() returned false: the request queue is closed and drained.
-    // No further batches can form, so release the workers.
-    work_queue_.close();
+    struct EndTurn
+    {
+        LiveServingRuntime &rt;
+        ~EndTurn()
+        {
+            {
+                MutexLock lock(rt.forming_mu_);
+                rt.forming_ = false;
+            }
+            rt.turn_free_.notifyOne();
+        }
+    } end_turn{*this};
+
+    std::unique_ptr<PendingRequest> req;
+    for (;;) {
+        if (task.requests.empty()) {
+            if (!popRequest(req, kForever))
+                return false;
+            task.requests.push_back(std::move(req));
+        }
+        while (task.requests.size() < config_.max_batch &&
+               request_queue_.tryPop(req))
+            task.requests.push_back(std::move(req));
+        const double open = batchOpenForS(task, clock_->now());
+        if (open > 0.0 && !requestQueueDrained()) {
+            // On a timeout or spurious wake the loop re-reads the clock
+            // and re-derives the remaining wait.
+            if (popRequest(req, open))
+                task.requests.push_back(std::move(req));
+            continue;
+        }
+        // Closing: shed what is past its deadline, and let queued
+        // requests take the slots that freed.
+        const double now = clock_->now();
+        std::vector<std::unique_ptr<PendingRequest>> keep;
+        keep.reserve(task.requests.size());
+        for (auto &r : task.requests) {
+            if (r->deadline_abs_s > 0.0 && now >= r->deadline_abs_s)
+                fulfillShed(std::move(r), now, /*at_admission=*/false);
+            else
+                keep.push_back(std::move(r));
+        }
+        task.requests = std::move(keep);
+        if (task.requests.size() == config_.max_batch ||
+            request_queue_.empty())
+            break;
+    }
+    m_.queue_depth->set(static_cast<double>(request_queue_.size()));
+    if (!task.requests.empty())
+        task.id = next_batch_id_.fetch_add(1, std::memory_order_relaxed);
+    return true;
 }
 
 double
@@ -389,36 +419,6 @@ LiveServingRuntime::batchOpenForS(const BatchTask &task, double now) const
     const double remaining =
         config_.max_wait_s - (now - task.requests.front()->enqueue_s);
     return remaining <= kMaxWaitEpsS ? 0.0 : remaining;
-}
-
-void
-LiveServingRuntime::dispatch(BatchTask &&task)
-{
-    if (!seal(task, clock_->now()))
-        return;
-    // Blocking push: a full work queue is the backpressure that keeps
-    // the batcher at most a few batches ahead of the workers.
-    (void)work_queue_.push(std::move(task));
-}
-
-bool
-LiveServingRuntime::seal(BatchTask &task, double now)
-{
-    std::vector<std::unique_ptr<PendingRequest>> keep;
-    keep.reserve(task.requests.size());
-    for (auto &req : task.requests) {
-        if (req->deadline_abs_s > 0.0 && now >= req->deadline_abs_s)
-            fulfillShed(std::move(req), now, /*at_admission=*/false);
-        else
-            keep.push_back(std::move(req));
-    }
-    task.requests = std::move(keep);
-    if (task.requests.empty())
-        return false;
-    task.id = next_batch_id_.fetch_add(1, std::memory_order_relaxed);
-    m_.batch_queue_depth->record(
-        static_cast<double>(work_queue_.size()));
-    return true;
 }
 
 void
@@ -469,20 +469,27 @@ LiveServingRuntime::failBatch(BatchTask task, double now)
 }
 
 void
-LiveServingRuntime::workerLoop(std::shared_ptr<WorkerState> ws)
+LiveServingRuntime::workerLoop(std::shared_ptr<WorkerState> ws,
+                               BatchTask task)
 {
-    BatchTask task;
-    while (work_queue_.pop(task)) {
-        try {
-            executeBatch(std::move(task), ws.get());
-        } catch (...) {
-            // executeBatch already catches executor throws of any
-            // type; anything escaping is an internal error. The
-            // PendingRequest destructor nets have resolved whatever
-            // futures the unwound task still owned.
+    for (;;) {
+        // Empty when there is no seized batch to start with, or when
+        // every request was shed at close.
+        if (!task.requests.empty()) {
+            try {
+                executeBatch(std::move(task), ws.get());
+            } catch (...) {
+                // executeBatch already catches executor throws of any
+                // type; anything escaping is an internal error. The
+                // PendingRequest destructor nets have resolved whatever
+                // futures the unwound task still owned.
+            }
+            if (ws->abandoned.load(std::memory_order_acquire))
+                return; // the watchdog replaced this slot
         }
-        if (ws->abandoned.load(std::memory_order_acquire))
-            return; // the watchdog replaced this slot
+        task = BatchTask{};
+        if (!formBatch(task))
+            return; // the request queue is closed and drained
     }
 }
 
@@ -657,9 +664,8 @@ LiveServingRuntime::executeBatch(BatchTask task, WorkerState *ws)
                     right.requests.push_back(
                         std::move(task.requests[i]));
             }
-            // Executed inline in this worker (not re-enqueued):
-            // recursion depth is log2(max_batch) and the work queue
-            // cannot deadlock on its own backpressure bound.
+            // Executed inline in this worker: recursion depth is
+            // log2(max_batch).
             executeBatch(std::move(left), ws);
             executeBatch(std::move(right), ws);
             return;
@@ -791,7 +797,7 @@ LiveServingRuntime::aimdDecreaseLocked()
 }
 
 void
-LiveServingRuntime::respawnWorker(const WorkerState *old)
+LiveServingRuntime::respawnWorker(const WorkerState *old, BatchTask seized)
 {
     MutexLock lock(workers_mu_);
     for (WorkerSlot &slot : slots_) {
@@ -803,7 +809,7 @@ LiveServingRuntime::respawnWorker(const WorkerState *old)
         slot.state->worker_id =
             next_worker_id_.fetch_add(1, std::memory_order_relaxed);
         slot.thread = std::thread(&LiveServingRuntime::workerLoop, this,
-                                  slot.state);
+                                  slot.state, std::move(seized));
         return;
     }
 }
@@ -814,9 +820,9 @@ LiveServingRuntime::watchdogLoop()
     while (!watchdog_stop_.load(std::memory_order_acquire)) {
         // Real-time sleep even under a virtual clock — the watchdog
         // re-reads (possibly virtual) time each poll, mirroring the
-        // batcher's poll-slice pattern. Routed through SteadyClock so
-        // raw std::this_thread::sleep_for stays banned outside
-        // common/clock.h (scripts/lint_invariants.py).
+        // forming worker's poll-slice pattern. Routed through
+        // SteadyClock so raw std::this_thread::sleep_for stays banned
+        // outside common/clock.h (scripts/lint_invariants.py).
         SteadyClock::instance().sleepFor(kWatchdogPollS);
         const double now = clock_->now();
         const double timeout = hangTimeoutS();
@@ -853,19 +859,16 @@ LiveServingRuntime::watchdogLoop()
                 ++acc_.batch_retries;
                 aimdDecreaseLocked();
             }
-            respawnWorker(ws.get());
+            // The slot's new thread retries the batch first; one
+            // with no retries left fails here.
+            if (!seized.requests.empty() &&
+                seized.attempts_done > config_.faults.max_retries)
+                failBatch(std::exchange(seized, BatchTask{}),
+                          clock_->now());
+            respawnWorker(ws.get(), std::move(seized));
             m_.watchdog_respawns->add(1);
-            {
-                MutexLock lock(stats_mu_);
-                ++acc_.watchdog_respawns;
-            }
-            if (seized.requests.empty())
-                continue; // worker resolved them before the seizure
-            bool requeued = false;
-            if (seized.attempts_done <= config_.faults.max_retries)
-                requeued = work_queue_.tryPushOrKeep(seized);
-            if (!requeued)
-                failBatch(std::move(seized), clock_->now());
+            MutexLock lock(stats_mu_);
+            ++acc_.watchdog_respawns;
         }
     }
 }
@@ -878,14 +881,12 @@ LiveServingRuntime::drain()
         return;
     drained_ = true;
     closeAdmission();
-    if (batcher_.joinable())
-        batcher_.join();
-    // The batcher closed the work queue on exit; workers drain it.
-    // The watchdog keeps running while we join so hung batches can
-    // still be seized (their futures resolve even though the hung
-    // thread itself blocks its join until the executor returns).
-    // Respawned workers see the closed queue and exit immediately;
-    // loop until the slot table is quiescent.
+    // Workers drain the closed request queue and exit. The watchdog
+    // keeps running while we join so hung batches can still be seized
+    // (their futures resolve even though the hung thread itself blocks
+    // its join until the executor returns). A respawned worker runs
+    // its seized batch, then sees the drained queue and exits; loop
+    // until the slot table is quiescent.
     auto join_sweep = [this]() {
         for (;;) {
             std::vector<std::thread> joinable;
@@ -973,12 +974,10 @@ LiveServingRuntime::closeAdmission()
 }
 
 /**
- * The event loop of LiveServingRuntime::replay. It plays the batcher
- * thread and the one worker thread of the threaded runtime with
- * non-blocking queue operations: the batcher pops arrivals into the
- * forming batch, closes it when batchOpenForS says so, seals it, and
- * holds it while the work queue is full; the worker starts the next
- * queued batch whenever it is idle. Every decision is the runtime's.
+ * The arrivals of LiveServingRuntime::replay. The calling thread runs
+ * the runtime's worker loop; a Drive delivers each arrival, in virtual
+ * time, when the worker waits for a request (popRequest) or sleeps past
+ * it (ReplayClock::sleepFor). Every decision is the runtime's.
  */
 class LiveServingRuntime::Drive
 {
@@ -992,44 +991,49 @@ class LiveServingRuntime::Drive
         for (double a : arrivals)
             arrival_ns_.push_back(start + std::llround(a * 1e9));
         clock_.drive_ = this;
-    }
-
-    ~Drive() { clock_.drive_ = nullptr; }
-
-    /** Runs the worker until every arrival resolved. */
-    void
-    run()
-    {
+        rt_.drive_ = this;
         if (arrival_ns_.empty())
             rt_.closeAdmission();
-        for (;;) {
-            BatchTask task;
-            if (rt_.work_queue_.tryPop(task)) {
-                pumpBatcher(); // the freed slot unblocks the batcher
-                rt_.executeBatch(std::move(task), &worker_);
-                continue;
-            }
-            const std::int64_t next = nextEventNs();
-            if (next == kNever)
-                return;
-            advanceTo(next);
-        }
     }
 
-    /** Delivers every event due by @p target_ns, then moves time
+    ~Drive()
+    {
+        clock_.drive_ = nullptr;
+        rt_.drive_ = nullptr;
+    }
+
+    /** Delivers every arrival due by @p target_ns, then moves time
      * there. */
     void
     advanceTo(std::int64_t target_ns)
     {
-        for (std::int64_t t = nextEventNs(); t <= target_ns;
-             t = nextEventNs()) {
-            moveTo(t);
-            if (next_arrival_ < arrival_ns_.size() &&
-                arrival_ns_[next_arrival_] <= t)
-                arrive();
-            pumpBatcher();
-        }
+        while (next_arrival_ < arrival_ns_.size() &&
+               arrival_ns_[next_arrival_] <= target_ns)
+            arrive();
         moveTo(target_ns);
+    }
+
+    /** popRequest in virtual time: delivers arrivals until one is
+     * queued, or until @p timeout_s passed or none is left (false). */
+    bool
+    popArrival(std::unique_ptr<PendingRequest> &out, double timeout_s)
+    {
+        const std::int64_t until =
+            std::isinf(timeout_s)
+                ? kNever
+                : clock_.time_.nanos() +
+                      std::max<std::int64_t>(std::llround(timeout_s * 1e9),
+                                             1);
+        while (!rt_.request_queue_.tryPop(out)) {
+            if (next_arrival_ == arrival_ns_.size())
+                return false; // admission closed at the last arrival
+            if (arrival_ns_[next_arrival_] > until) {
+                moveTo(until);
+                return false;
+            }
+            arrive();
+        }
+        return true;
     }
 
     /** One per arrival; nullopt where admission rejected it. */
@@ -1045,74 +1049,33 @@ class LiveServingRuntime::Drive
         clock_.time_.advanceNanos(t_ns - clock_.time_.nanos());
     }
 
-    /** The next arrival or batch close, kNever when none is due. */
-    std::int64_t
-    nextEventNs() const
-    {
-        std::int64_t next =
-            blocked_ || forming_.requests.empty() ? kNever : close_ns_;
-        if (next_arrival_ < arrival_ns_.size())
-            next = std::min(next, arrival_ns_[next_arrival_]);
-        return next;
-    }
-
+    /** Moves time to the next arrival and submits it. */
     void
     arrive()
     {
+        moveTo(arrival_ns_[next_arrival_]);
         futures_[next_arrival_++] = rt_.submit(Tensor(1, 1));
         if (next_arrival_ == arrival_ns_.size())
             rt_.closeAdmission();
-    }
-
-    /** Steps the batcher until it waits for a request or a close, or
-     * blocks on the full work queue. */
-    void
-    pumpBatcher()
-    {
-        const double now = clock_.now();
-        for (;;) {
-            if (blocked_) {
-                if (!rt_.work_queue_.tryPushOrKeep(sealed_))
-                    return;
-                blocked_ = false;
-            }
-            std::unique_ptr<PendingRequest> next;
-            if (forming_.requests.empty()) {
-                if (!rt_.request_queue_.tryPop(next))
-                    return;
-                forming_.requests.push_back(std::move(next));
-            }
-            double open = rt_.batchOpenForS(forming_, now);
-            while (open > 0.0 && rt_.request_queue_.tryPop(next)) {
-                forming_.requests.push_back(std::move(next));
-                open = rt_.batchOpenForS(forming_, now);
-            }
-            if (open > 0.0 && !rt_.requestQueueDrained()) {
-                const std::int64_t wait_ns = std::llround(open * 1e9);
-                close_ns_ = clock_.time_.nanos() +
-                            std::max<std::int64_t>(wait_ns, 1);
-                return;
-            }
-            rt_.m_.queue_depth->set(
-                static_cast<double>(rt_.request_queue_.size()));
-            sealed_ = std::exchange(forming_, BatchTask{});
-            blocked_ = rt_.seal(sealed_, now);
-        }
     }
 
     LiveServingRuntime &rt_;
     ReplayClock &clock_;
     std::vector<std::int64_t> arrival_ns_;
     std::size_t next_arrival_ = 0;
-    /** The batch the batcher is forming (empty: waiting for one). */
-    BatchTask forming_;
-    /** When forming_ closes unless it fills first. */
-    std::int64_t close_ns_ = kNever;
-    /** A sealed batch the full work queue has not taken yet. */
-    BatchTask sealed_;
-    bool blocked_ = false;
-    WorkerState worker_;
 };
+
+bool
+LiveServingRuntime::popRequest(std::unique_ptr<PendingRequest> &out,
+                               double timeout_s)
+{
+    if (drive_ != nullptr)
+        return drive_->popArrival(out, timeout_s);
+    if (std::isinf(timeout_s))
+        return request_queue_.pop(out);
+    return request_queue_.popFor(
+        out, clock_->isVirtual() ? kVirtualPollSliceS : timeout_s);
+}
 
 LiveReplay
 LiveServingRuntime::replay(const LiveServingConfig &config,
@@ -1136,7 +1099,7 @@ LiveServingRuntime::replay(const LiveServingConfig &config,
     LiveReplay out;
     {
         Drive drive(runtime, clock, arrivals);
-        drive.run();
+        runtime.workerLoop(std::make_shared<WorkerState>(), BatchTask{});
         for (auto &f : drive.futures_)
             out.requests.push_back(f ? std::optional(f->get())
                                      : std::nullopt);

@@ -4,13 +4,14 @@
  * replayed single-threaded in virtual time.
  *
  * Request submitters feed a bounded MPMC queue (admission control — a
- * full queue rejects instead of buffering unboundedly), a batcher
- * thread forms batches under a max-batch/max-wait policy, and a worker
- * pool drives a real executor (the functional transformer) while the
- * batcher keeps forming the next batch — continuous batching. Batches
- * ride a deterministic fault/retry ladder (ServingFaultProfile, draw
- * stream kServingBatchFaultStream), and requests past their deadline
- * are shed at admission or dispatch.
+ * full queue rejects instead of buffering unboundedly), and a worker
+ * pool drives a real executor (the functional transformer). Batches
+ * bind late: a worker forms its batch from the queue only once it is
+ * free, under a max-batch/max-wait policy, so a batch takes everything
+ * that queued while the workers were busy. Batches ride a
+ * deterministic fault/retry ladder (ServingFaultProfile, draw stream
+ * kServingBatchFaultStream), and requests past their deadline are shed
+ * at admission or dispatch.
  *
  * On top of that sits the resilience control plane (resilience.h):
  * a watchdog thread seizes batches from hung workers and respawns the
@@ -26,7 +27,7 @@
  * drive a ManualClock and stay deterministic under arbitrary CI load;
  * production uses SteadyClock. LiveServingRuntime::replay runs the same
  * runtime code with no threads on a ReplayClock: arrivals, batch
- * closes and batch executions become events in virtual time, and a
+ * closes and batch executions happen in virtual time, and a
  * ModeledBatchExecutor prices each batch with the PIM-DL engine. That
  * is how the benches model batched serving at deployment scale (the
  * cloud-serving case of the paper's Section 2.2).
@@ -346,21 +347,21 @@ struct LiveReplay
 class ReplayClock;
 
 /**
- * The live serving runtime: one batcher thread, a worker pool, an
- * optional watchdog thread, and a bounded request queue between
- * submitters and the batcher. Construct, submit() from any number of
- * threads, then drain() (or destroy) to stop: in-flight and queued
- * requests complete, new submits reject.
+ * The live serving runtime: a worker pool, an optional watchdog
+ * thread, and a bounded request queue between submitters and the
+ * workers. Construct, submit() from any number of threads, then
+ * drain() (or destroy) to stop: in-flight and queued requests
+ * complete, new submits reject.
  */
 class LiveServingRuntime
 {
   public:
     /**
-     * Starts the batcher, worker, and (when enabled) watchdog
-     * threads. @p executor outlives the runtime. @p clock defaults to
-     * the process SteadyClock; tests inject a ManualClock. @p chaos,
-     * when non-null, injects deterministic control-plane misbehaviour
-     * (must outlive the runtime).
+     * Starts the worker and (when enabled) watchdog threads.
+     * @p executor outlives the runtime. @p clock defaults to the
+     * process SteadyClock; tests inject a ManualClock. @p chaos, when
+     * non-null, injects deterministic control-plane misbehaviour (must
+     * outlive the runtime).
      */
     LiveServingRuntime(const LiveServingConfig &config,
                        BatchExecutor &executor, Clock *clock = nullptr,
@@ -387,7 +388,7 @@ class LiveServingRuntime
            double deadline_budget_s = -1.0) PIMDL_EXCLUDES(stats_mu_);
 
     /**
-     * Stops accepting requests, flushes the queue through the batcher,
+     * Stops accepting requests, flushes the queue through the workers,
      * waits for every in-flight batch, and joins all threads
      * (including watchdog respawns). Idempotent; called by the
      * destructor.
@@ -397,7 +398,7 @@ class LiveServingRuntime
     /** Aggregate stats so far (safe to call while serving). */
     LiveServingStats stats() const PIMDL_EXCLUDES(stats_mu_);
 
-    /** Requests currently waiting for the batcher. */
+    /** Requests queued that no forming batch has taken yet. */
     std::size_t queueDepth() const;
 
     /** Current circuit-breaker state of the primary backend path. */
@@ -407,15 +408,15 @@ class LiveServingRuntime
 
     /**
      * Replays @p arrivals (seconds after @p clock's current time,
-     * ascending) through a runtime that starts no threads: one thread
-     * steps arrivals, batch closes, and the worker's batch starts and
-     * completions in virtual time on @p clock, and admission closes
-     * after the last arrival. The replay only orders events; batching,
-     * shedding, the retry ladder, bisection, breaker, AIMD and stats
-     * are the runtime's own code. Each request is a 1x1 tensor
-     * (seq_len 1), so a batch's rows are its (bucketed) size;
-     * @p executor must sleep its service time on @p clock
-     * (ModeledBatchExecutor does). Requires workers == 1, no
+     * ascending) through a runtime that starts no threads: the calling
+     * thread runs the worker loop in virtual time on @p clock, arrivals
+     * are delivered as the worker waits or sleeps past them, and
+     * admission closes after the last arrival. The replay only orders
+     * events; batching, shedding, the retry ladder, bisection,
+     * breaker, AIMD and stats are the runtime's own code. Each request
+     * is a 1x1 tensor (seq_len 1), so a batch's rows are its
+     * (bucketed) size; @p executor must sleep its service time on
+     * @p clock (ModeledBatchExecutor does). Requires workers == 1, no
      * resilience.watchdog and no @p chaos: the watchdog and chaos
      * injection run on threads only.
      */
@@ -543,16 +544,32 @@ class LiveServingRuntime
         obs::Histogram *queue_wait_s = nullptr;
         obs::Histogram *batch_size = nullptr;
         obs::Histogram *batch_service_s = nullptr;
-        obs::Histogram *batch_queue_depth = nullptr;
     };
 
-    void batcherLoop();
-    void workerLoop(std::shared_ptr<WorkerState> ws);
+    /** Executes @p task (if any), then forms and executes batches
+     * until the request queue is closed and drained. */
+    void workerLoop(std::shared_ptr<WorkerState> ws, BatchTask task);
     void watchdogLoop();
     /**
-     * The flush rule of the batcher and of replay: seconds the forming
-     * batch @p task may still wait for requests at @p now, 0 once it is
-     * full or its oldest request has waited max_wait_s.
+     * Forms the next batch into @p task for a free worker, one worker
+     * at a time: it waits for a first request, takes every queued one
+     * up to max_batch, and waits out the first one's max-wait only
+     * while the batch is not full. At close, requests past their
+     * deadline are shed and queued ones refill their slots; @p task
+     * comes back empty when all were shed. False once the request
+     * queue is closed and drained.
+     */
+    bool formBatch(BatchTask &task)
+        PIMDL_EXCLUDES(forming_mu_, stats_mu_);
+    /** Pops the next request, waiting at most @p timeout_s of clock time
+     * (infinity: until one queues or the queue is closed and drained).
+     * A replay waits by delivering arrivals in virtual time. */
+    bool popRequest(std::unique_ptr<PendingRequest> &out,
+                    double timeout_s);
+    /**
+     * Seconds the forming batch @p task may still wait for requests at
+     * @p now, 0 once it is full or its oldest request has waited
+     * max_wait_s.
      */
     double batchOpenForS(const BatchTask &task, double now) const;
     /** True once drain closed the request queue and it ran empty: the
@@ -562,26 +579,21 @@ class LiveServingRuntime
     {
         return request_queue_.closed() && request_queue_.empty();
     }
-    /** Sheds the requests past their deadline at @p now and assigns
-     * the batch id; false when nothing is left to execute. */
-    bool seal(BatchTask &task, double now) PIMDL_EXCLUDES(stats_mu_);
-    /** Seals @p task and enqueues it, blocking while the work queue is
-     * full. */
-    void dispatch(BatchTask &&task) PIMDL_EXCLUDES(stats_mu_);
-    /** Stops admission: later submits reject, and the batcher flushes
-     * once the request queue runs empty. */
+    /** Stops admission: later submits reject, and the forming batch
+     * flushes once the request queue runs empty. */
     void closeAdmission();
     void executeBatch(BatchTask task, WorkerState *ws)
         PIMDL_EXCLUDES(stats_mu_);
     void fulfillShed(std::unique_ptr<PendingRequest> req, double now,
                      bool at_admission) PIMDL_EXCLUDES(stats_mu_);
-    /** Terminal failure of a batch the watchdog seized but could not
-     * re-dispatch (retries exhausted or work queue refused it). */
+    /** Terminal failure of a batch the watchdog seized with no retries
+     * left. */
     void failBatch(BatchTask task, double now)
         PIMDL_EXCLUDES(stats_mu_);
     /** Marks @p old abandoned and starts a replacement thread in its
-     * slot; the dead thread joins at drain. */
-    void respawnWorker(const WorkerState *old)
+     * slot that executes @p seized first; the dead thread joins at
+     * drain. */
+    void respawnWorker(const WorkerState *old, BatchTask seized)
         PIMDL_EXCLUDES(workers_mu_);
     /** Hang threshold: kHangTimeoutFactor x the batch-latency EWMA,
      * floored at kMinHangTimeoutS. */
@@ -598,10 +610,15 @@ class LiveServingRuntime
     std::unique_ptr<CircuitBreaker> breaker_;
 
     BoundedMpmcQueue<std::unique_ptr<PendingRequest>> request_queue_;
-    /** Small bound: backpressure that keeps the batcher at most a few
-     * batches ahead of the workers (continuous batching, not
-     * unbounded buffering). */
-    BoundedMpmcQueue<BatchTask> work_queue_;
+    /** The forming turn: one batch forms at a time, so idle workers
+     * never split the queued requests between them. A flag rather than
+     * a held Mutex, since the former blocks on the request queue and
+     * no lock may be held across that wait. */
+    Mutex forming_mu_{"serving.live.forming"};
+    CondVar turn_free_{"serving.live.turn_free"};
+    bool forming_ PIMDL_GUARDED_BY(forming_mu_) = false;
+    /** The replay in progress; null on threads. */
+    Drive *drive_ = nullptr;
 
     std::atomic<bool> draining_{false};
     std::atomic<bool> watchdog_stop_{false};
@@ -631,7 +648,6 @@ class LiveServingRuntime
     std::size_t pinned_rows_ PIMDL_GUARDED_BY(stats_mu_) = 0;
     std::size_t pinned_cols_ PIMDL_GUARDED_BY(stats_mu_) = 0;
 
-    std::thread batcher_;
     std::thread watchdog_;
     /** Live worker slots plus the threads of abandoned (hung) slots;
      * all joined at drain. */
@@ -644,9 +660,9 @@ class LiveServingRuntime
  * The clock of LiveServingRuntime::replay: a ManualClock (whole
  * nanoseconds) that moves only when something sleeps on it. While a
  * replay runs, a sleep first delivers, each at its own time, every
- * arrival and batch close due by the time the sleep ends. An executor
- * that sleeps its service time on this clock thus lets requests arrive,
- * and batches close, while its batch executes.
+ * arrival due by the time the sleep ends. An executor that sleeps its
+ * service time on this clock thus lets requests arrive while its batch
+ * executes.
  */
 class ReplayClock final : public Clock
 {

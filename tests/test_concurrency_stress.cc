@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -208,7 +207,7 @@ TEST(ConcurrencyStress, FaultedExecutorRunsUnderParallelFor)
 
 TEST(ConcurrencyStress, MpmcCloseRacesPushAndPop)
 {
-    // The drain path closes the request/work queues while submitters
+    // The drain path closes the request queue while submitters
     // and workers are mid push/pop; the queue contract is that no
     // accepted item is ever lost to the close. 4 pushers x 4 poppers
     // race a closer and the accounting must balance exactly.
@@ -225,8 +224,7 @@ TEST(ConcurrencyStress, MpmcCloseRacesPushAndPop)
         for (std::size_t p = 0; p < kPushers; ++p) {
             pool.emplace_back([&]() {
                 for (std::size_t i = 0; i < kPerPusher; ++i) {
-                    std::size_t item = i;
-                    if (queue.tryPushOrKeep(item))
+                    if (queue.tryPush(i))
                         pushed.fetch_add(1, std::memory_order_relaxed);
                     else if (queue.closed())
                         return; // producers stop at close
@@ -260,27 +258,6 @@ TEST(ConcurrencyStress, MpmcCloseRacesPushAndPop)
         std::size_t leftover = 0;
         EXPECT_FALSE(queue.pop(leftover));
     }
-}
-
-TEST(ConcurrencyStress, MpmcTryPushOrKeepPreservesRejectedValue)
-{
-    // tryPush takes by value, so a rejected unique_ptr would be
-    // destroyed; tryPushOrKeep must leave it intact for rerouting
-    // (the watchdog re-dispatch depends on this).
-    BoundedMpmcQueue<std::unique_ptr<int>> queue(1);
-    auto first = std::make_unique<int>(1);
-    ASSERT_TRUE(queue.tryPushOrKeep(first));
-    EXPECT_EQ(first, nullptr) << "accepted items are moved in";
-
-    auto second = std::make_unique<int>(2);
-    EXPECT_FALSE(queue.tryPushOrKeep(second)) << "queue is full";
-    ASSERT_NE(second, nullptr) << "rejected items must survive";
-    EXPECT_EQ(*second, 2);
-
-    queue.close();
-    auto third = std::make_unique<int>(3);
-    EXPECT_FALSE(queue.tryPushOrKeep(third));
-    ASSERT_NE(third, nullptr) << "closed-queue rejects must survive";
 }
 
 } // namespace

@@ -415,7 +415,6 @@ TEST(ObsSnapshot, InstrumentedStackPublishesRequiredKeys)
           "\"engine.role.FFN2.ccs_s\"", "\"engine.ccs_s\"",
           "\"engine.lut_s\"", "\"serving.live.request_latency_s\"",
           "\"serving.live.batch_size\"",
-          "\"serving.live.batch_queue_depth\"",
           "\"tuner.searches\"", "\"tuner.mappings_evaluated\"",
           "\"tuner.mappings_pruned\"", "\"tuner.search_wall_s\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;

@@ -543,7 +543,7 @@ TEST(ServingLiveResilience, ExpiredBudgetShedsAtAdmission)
     LiveServingRuntime runtime(cfg, executor, &clock);
 
     // Budget 0: the deadline has already passed at admission. The
-    // request must not consume a queue slot or batcher work.
+    // request must not consume a queue slot or a batch slot.
     auto doomed = runtime.submit(requestTensor(2, 4, 40), 0,
                                  /*deadline_budget_s=*/0.0);
     ASSERT_TRUE(doomed.has_value())

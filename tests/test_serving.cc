@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -301,15 +303,15 @@ TEST_F(ServingTest, FaultStatsPinnedUnderFixedProfile)
     cfg.faults.batch_fault_rate = 0.3;
     const LiveServingStats s = replay(cfg, 20.0, 30.0).stats;
     EXPECT_EQ(s.submitted, 629u);
-    EXPECT_EQ(s.batches, 56u);
+    EXPECT_EQ(s.batches, 50u);
     EXPECT_EQ(s.batch_retries, 15u);
     EXPECT_EQ(s.degraded_batches, 11u);
     EXPECT_EQ(s.bisections, 1u);
     EXPECT_EQ(s.failed_batches, 0u);
-    EXPECT_EQ(s.completed, 19u);
-    EXPECT_EQ(s.timed_out, 76u);
-    EXPECT_EQ(s.shed, 534u);
-    EXPECT_NEAR(s.availability, 19.0 / 629.0, 1e-12);
+    EXPECT_EQ(s.completed, 36u);
+    EXPECT_EQ(s.timed_out, 340u);
+    EXPECT_EQ(s.shed, 253u);
+    EXPECT_NEAR(s.availability, 36.0 / 629.0, 1e-12);
 }
 
 TEST_F(ServingTest, AvailabilityDegradesMonotonicallyWithFaultRate)
@@ -353,6 +355,80 @@ TEST(ServingReplay, ThreeFig10ReplaysAreBitIdentical)
         expectIdentical(first.stats, again.stats);
         EXPECT_EQ(first.span_s, again.span_s);
     }
+}
+
+/**
+ * Expects no batch of @p run to start with fewer requests than
+ * min(@p max_batch, requests queued at its start): a free worker takes
+ * every queued request it can. A batch starts at done_s - service_s; a
+ * request is queued then if it has arrived and its own batch has not
+ * started yet.
+ */
+void
+expectNoBatchBelowQueuedWork(const LiveReplay &run, std::size_t max_batch)
+{
+    struct Served
+    {
+        double enqueue_s;
+        double start_s;
+        std::size_t batch_size;
+    };
+    std::vector<Served> served;
+    std::map<std::uint64_t, Served> batches;
+    for (const auto &r : run.requests) {
+        if (!r || r->batch_id == 0)
+            continue; // rejected or shed: never in a batch
+        served.push_back(
+            {r->enqueue_s, r->done_s - r->service_s, r->batch_size});
+        batches.emplace(r->batch_id, served.back());
+    }
+    ASSERT_FALSE(batches.empty());
+    std::size_t short_batches = 0;
+    std::string first;
+    for (const auto &[id, batch] : batches) {
+        std::size_t queued = 0;
+        for (const Served &r : served)
+            queued += r.enqueue_s <= batch.start_s &&
+                      r.start_s >= batch.start_s;
+        if (batch.batch_size >= std::min(max_batch, queued))
+            continue;
+        if (short_batches++ == 0)
+            first = "batch " + std::to_string(id) + " started with " +
+                    std::to_string(batch.batch_size) + " of " +
+                    std::to_string(queued) + " queued";
+    }
+    EXPECT_EQ(short_batches, 0u) << "of " << batches.size()
+                                 << " batches; first: " << first;
+}
+
+TEST(ServingReplay, NoBatchClosesBelowQueuedWork)
+{
+    const PimDlEngine engine(upmemPlatform(), xeon4210Dual());
+    for (bool smoke : {true, false})
+        expectNoBatchBelowQueuedWork(
+            bench::replayBertBaseServing(engine, smoke), 32);
+
+    // ServingTest's 20 rps workload over three seeds, then twice the
+    // rate full batches can serve.
+    ReplayClock clock;
+    ModeledBatchExecutor executor(
+        engine, customTransformer("serve-test", 256, 2, 128, 1),
+        LutNnParams{4, 16}, SchedulePolicy::Sequential, clock);
+    LiveServingConfig cfg;
+    cfg.max_batch = 8;
+    cfg.max_wait_s = 0.5;
+    cfg.collect_outputs = false;
+    for (std::uint64_t seed : {1, 2, 3})
+        expectNoBatchBelowQueuedWork(
+            LiveServingRuntime::replay(cfg, executor, clock,
+                                       poissonArrivals(20.0, 30.0, seed)),
+            cfg.max_batch);
+    const double overload_rps = 2.0 * static_cast<double>(cfg.max_batch) /
+                                executor.batchLatency(cfg.max_batch);
+    expectNoBatchBelowQueuedWork(
+        LiveServingRuntime::replay(cfg, executor, clock,
+                                   poissonArrivals(overload_rps, 30.0, 1)),
+        cfg.max_batch);
 }
 
 /** Sleeps a fixed service time on the replay clock; throws on the
@@ -407,8 +483,9 @@ TEST(ServingReplay, ArrivalDuringBatchKeepsItsEnqueueTime)
     EXPECT_DOUBLE_EQ(r0.done_s, 1.5);
     EXPECT_DOUBLE_EQ(r1.enqueue_s, 0.6) << "not the batch's completion";
     EXPECT_DOUBLE_EQ(r2.enqueue_s, 0.75);
-    // The batcher closed {1, 2} at 1.1 s (request 1's max-wait) and
-    // queued it behind the busy worker, which started it at 1.5 s.
+    // Both queued behind the busy worker, which took them as one
+    // batch when it came free at 1.5 s (request 1 had waited out its
+    // max-wait by then).
     EXPECT_EQ(r1.batch_id, 2u);
     EXPECT_EQ(r2.batch_id, 2u);
     EXPECT_DOUBLE_EQ(r1.queue_wait_s, 1.5 - 0.6);

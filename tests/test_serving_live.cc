@@ -75,18 +75,28 @@ class GatedExecutor final : public BatchExecutor
     {
         (void)seq_len;
         (void)degraded;
+        entered_.store(true, std::memory_order_release);
         while (!released_.load(std::memory_order_acquire))
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         return tokens;
     }
 
+    /** Spin (real time) until a worker is blocked in execute. */
+    void
+    awaitEntered() const
+    {
+        while (!entered_.load(std::memory_order_acquire))
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
     void release() { released_.store(true, std::memory_order_release); }
 
   private:
+    std::atomic<bool> entered_{false};
     std::atomic<bool> released_{false};
 };
 
-/** Spin (real time) until the batcher pulled every queued request. */
+/** Spin (real time) until a forming batch took every queued request. */
 void
 awaitQueueDrained(const LiveServingRuntime &runtime)
 {
@@ -306,7 +316,7 @@ TEST(ServingLive, MaxWaitFlushesPartialBatch)
     auto f1 = runtime.submit(requestTensor(2, 4, 1));
     ASSERT_TRUE(f0.has_value() && f1.has_value());
     // Nothing dispatches until virtual time passes max_wait; let the
-    // batcher pull both requests into the forming batch first.
+    // worker pull both requests into its forming batch first.
     awaitQueueDrained(runtime);
     clock.advance(2.0);
     const LiveRequestResult r0 = f0->get();
@@ -535,7 +545,7 @@ TEST(ServingLive, FifoPerTenantBatchOrder)
         EXPECT_EQ(r.tenant, i % 3);
         EXPECT_GT(r.batch_id, last_batch[i % 3])
             << "per-tenant submission order must map to increasing "
-               "batch ids (single FIFO batcher)";
+               "batch ids (one FIFO batch forms at a time)";
         last_batch[i % 3] = r.batch_id;
     }
 }
@@ -576,9 +586,9 @@ TEST(ServingLive, AdmissionControlRejectsWhenPipelineFull)
     LiveServingRuntime runtime(cfg, executor);
 
     // With the worker gated, pipeline capacity is bounded: one batch
-    // executing, two in the work queue, one in the batcher's hands,
-    // queue_capacity waiting. Keep submitting: admission control must
-    // reject well before 100 submits.
+    // per worker executing and queue_capacity waiting. Keep
+    // submitting: admission control must reject well before 100
+    // submits.
     std::vector<std::future<LiveRequestResult>> futures;
     std::size_t rejected = 0;
     for (std::size_t i = 0; i < 100 && rejected == 0; ++i) {
@@ -589,7 +599,8 @@ TEST(ServingLive, AdmissionControlRejectsWhenPipelineFull)
             ++rejected;
     }
     EXPECT_GE(rejected, 1u) << "bounded pipeline must reject";
-    EXPECT_LE(futures.size(), cfg.queue_capacity + 4u)
+    EXPECT_LE(futures.size(),
+              cfg.queue_capacity + cfg.workers * cfg.max_batch)
         << "admitted count must respect the pipeline bound";
 
     executor.release();
@@ -597,6 +608,39 @@ TEST(ServingLive, AdmissionControlRejectsWhenPipelineFull)
     for (auto &f : futures)
         EXPECT_EQ(f.get().status, LiveRequestStatus::Completed);
     EXPECT_EQ(runtime.stats().rejected, rejected);
+}
+
+TEST(ServingLive, RequestsQueuedBehindBusyWorkerRideItsNextBatch)
+{
+    ManualClock clock;
+    GatedExecutor executor;
+    LiveServingConfig cfg;
+    cfg.max_batch = 8;
+    cfg.max_wait_s = 0.0; // a batch never waits for more requests
+    LiveServingRuntime runtime(cfg, executor, &clock);
+
+    auto first = runtime.submit(requestTensor(2, 4, 0));
+    ASSERT_TRUE(first.has_value());
+    executor.awaitEntered(); // the worker is busy with {first}
+    std::vector<std::future<LiveRequestResult>> queued;
+    for (std::size_t i = 1; i <= 5; ++i) {
+        auto f = runtime.submit(requestTensor(2, 4, i));
+        ASSERT_TRUE(f.has_value());
+        queued.push_back(std::move(*f));
+    }
+    executor.release();
+    const LiveRequestResult r0 = first->get();
+    EXPECT_EQ(r0.batch_size, 1u);
+    for (auto &f : queued) {
+        const LiveRequestResult r = f.get();
+        EXPECT_EQ(r.status, LiveRequestStatus::Completed);
+        EXPECT_EQ(r.batch_id, r0.batch_id + 1);
+        EXPECT_EQ(r.batch_size, queued.size())
+            << "every request queued while the worker was busy must "
+               "ride its next batch";
+    }
+    runtime.drain();
+    EXPECT_EQ(runtime.stats().batches, 2u);
 }
 
 // ---------------------------------------------------------------------
